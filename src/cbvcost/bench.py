@@ -11,9 +11,9 @@ import random
 from dataclasses import dataclass
 
 from .encodings import Alphabet, build_append, build_convert, encode_string, encode_symbol
-from .machine_r import mr_normalize
+from .machine_r import MachineRResult, mr_normalize
 from .pca import apply_in_xi, build_combinator, pair, XiValue
-from .reduction import LEFTMOST, normalize, random_closed_term
+from .reduction import LEFTMOST, ReductionOutcome, normalize, random_closed_term
 from .terms import Abs, App, BoundVar, FreeVar, Term
 from .theta import encode_theta
 from .turing import even_palindrome_machine, flip_machine, run_compiled
@@ -33,8 +33,6 @@ PCA_REFERENCE_COSTS = {
     "conc_stage2_overhead": 1,
     "curry_stages": (1, 1, 1),
 }
-
-SUITES = ("CostGrowth", "AppendCosts", "TmOverhead", "MachineRBounds", "PcaCosts")
 
 
 @dataclass
@@ -182,6 +180,14 @@ def make_normalizing_corpus(seed: int, count: int, max_size: int,
     return corpus
 
 
+def agrees_with_engine(result: MachineRResult, engine: ReductionOutcome) -> bool:
+    """The machine-vs-engine cross-check: both reached a normal form, the
+    same string, with one machine iteration per leftmost β-step."""
+    return (result.normalized and engine.normalized
+            and result.theta == encode_theta(engine.term)
+            and len(result.iterations) == engine.steps)
+
+
 def _machine_r_scale(corpus, fuel):
     max_c = 0.0
     max_c2 = 0.0
@@ -189,9 +195,7 @@ def _machine_r_scale(corpus, fuel):
     for i, t in enumerate(corpus):
         engine = normalize(t, LEFTMOST, fuel)
         result = mr_normalize(encode_theta(t), fuel)
-        agree = (result.normalized and engine.normalized
-                 and result.theta == encode_theta(engine.term)
-                 and len(result.iterations) == engine.steps)
+        agree = agrees_with_engine(result, engine)
         c_here = 0.0
         for it in result.iterations:
             c_here = max(c_here, it.ops / (it.tl_before + it.tl_after) ** 2)
@@ -260,15 +264,14 @@ def suite_pca_costs(seed: int = 42) -> SuiteReport:
     return SuiteReport(["combinator", "case", "cost"], rows, failures)
 
 
+SUITES = {
+    "CostGrowth": suite_cost_growth,
+    "AppendCosts": suite_append_costs,
+    "TmOverhead": suite_tm_overhead,
+    "MachineRBounds": suite_machine_r_bounds,
+    "PcaCosts": suite_pca_costs,
+}
+
+
 def run_suite(name: str, seed: int = 42) -> SuiteReport:
-    if name == "CostGrowth":
-        return suite_cost_growth(seed)
-    if name == "AppendCosts":
-        return suite_append_costs(seed)
-    if name == "TmOverhead":
-        return suite_tm_overhead(seed)
-    if name == "MachineRBounds":
-        return suite_machine_r_bounds(seed)
-    if name == "PcaCosts":
-        return suite_pca_costs(seed)
-    raise ValueError(f"unknown suite {name!r} (have {SUITES})")
+    return SUITES[name](seed)

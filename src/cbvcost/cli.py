@@ -16,7 +16,6 @@ import sys
 from . import bench
 from .encodings import Alphabet, NotAStringEncoding, UnknownSymbolError, church_numeral, encode_string
 from .machine_r import MachineRError, mr_normalize
-from .pca import COMBINATOR_NAMES, apply_in_xi, build_combinator, pair
 from .reduction import STRATEGIES, normalize, write_trace_csv
 from .terms import ParseError, TermError, free_names, parse_term, print_term
 from .theta import MalformedThetaError, encode_theta, theta_to_ascii
@@ -94,10 +93,16 @@ def cmd_compile_tm(args) -> int:
 
 
 def cmd_machine_r(args) -> int:
+    if args.corpus < 0:
+        return _fail(f"corpus size must not be negative, got {args.corpus}", BAD_INPUT)
     if args.corpus:
-        report = bench.suite_machine_r_bounds(args.seed, args.corpus)
-        ops = [int(r[4]) for r in report.rows]
-        cs = [float(r[6]) for r in report.rows]
+        try:
+            report = bench.suite_machine_r_bounds(args.seed, args.corpus)
+        except RuntimeError as e:
+            return _fail(str(e), BAD_INPUT)
+        col = report.header.index
+        ops = [int(r[col("ops")]) for r in report.rows]
+        cs = [float(r[col("max_c_iter")]) for r in report.rows]
         print(f"terms: {len(report.rows)}")
         print(f"max ops: {max(ops)}")
         print(f"max per-iteration constant: {max(cs):.4f}")
@@ -137,8 +142,7 @@ def cmd_machine_r(args) -> int:
         print(f"iteration log written to {args.out}")
     if cross_check is not None:
         engine = normalize(cross_check, "leftmost", max(args.fuel * 4, 1000))
-        if not engine.normalized or encode_theta(engine.term) != result.theta \
-                or engine.steps != len(result.iterations):
+        if not bench.agrees_with_engine(result, engine):
             return _fail("tape machine and reduction engine disagree", MISMATCH)
         print("engine cross-check: ok")
     return OK
@@ -187,27 +191,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "size-difference cost model")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--fuel", type=int, default=100_000, metavar="N")
-        p.add_argument("--seed", type=int, default=42, metavar="N")
-        p.add_argument("--out", metavar="PATH")
-
     p = sub.add_parser("normalize", help="reduce a term and report steps, cost and time")
     p.add_argument("term")
     p.add_argument("--strategy", choices=STRATEGIES, default="leftmost")
-    common(p)
+    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
+    p.add_argument("--seed", type=int, default=42, metavar="N")
+    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("run-tm", help="run a machine natively (the oracle)")
     p.add_argument("machine", help="machine description file")
     p.add_argument("input")
-    common(p)
+    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
     p.set_defaults(func=cmd_run_tm)
 
     p = sub.add_parser("compile-tm", help="compile a machine to a term, run and cross-check")
     p.add_argument("machine")
     p.add_argument("input")
-    common(p)
+    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
     p.set_defaults(func=cmd_compile_tm)
 
     p = sub.add_parser("machine-r", help="normalize on the nine-tape string machine")
@@ -215,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="surface-syntax term or raw string notation (L for λ, * for ▶)")
     p.add_argument("--corpus", type=int, default=0, metavar="N",
                    help="run N seeded random terms and report bound constants")
-    common(p)
+    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
+    p.add_argument("--seed", type=int, default=42, metavar="N")
+    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_machine_r)
 
     p = sub.add_parser("encode", help="encoding helpers")
@@ -228,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run an experiment suite and write its CSV report")
     p.add_argument("suite", choices=bench.SUITES)
-    common(p)
+    p.add_argument("--seed", type=int, default=42, metavar="N")
+    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -236,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "fuel", 1) <= 0:
+        return _fail(f"fuel must be positive, got {args.fuel}", BAD_INPUT)
     try:
         return args.func(args)
     except (TermError, NotAStringEncoding) as e:

@@ -96,22 +96,24 @@ class MachineRState:
         self.op_count += 1
         stack.append(sym)
 
-    def pop(self, stack: list[str]) -> str:
-        self.op_count += 1
-        return stack.pop()
 
-
-def _scan_symbol(state: MachineRState, stack: list[str], sym: str) -> None:
-    if sym == APP:
-        state.push(stack, F_APP)
-    elif sym == LAM:
-        state.push(stack, A_LAM)
-    elif sym == MARK:
-        while stack:
-            top = state.pop(stack)
-            if top == F_APP:
-                state.push(stack, S_APP)
-                break
+def _close(state: MachineRState, stack: list[str]) -> int:
+    """The counted ▶ case of `stack_update`: pop S and A frames until an F
+    becomes S or the stack empties, one operation per pop and push.
+    Returns how many A frames (abstraction bodies) it closed."""
+    closed = 0
+    ops = 0
+    while stack:
+        top = stack.pop()
+        ops += 1
+        if top == F_APP:
+            stack.append(S_APP)
+            ops += 1
+            break
+        if top == A_LAM:
+            closed += 1
+    state.op_count += ops
+    return closed
 
 
 def _copy_subterm(state: MachineRState, start: int, dest: list[str]) -> int:
@@ -135,11 +137,7 @@ def _copy_subterm(state: MachineRState, start: int, dest: list[str]) -> int:
         elif sym == LAM:
             state.push(sr, A_LAM)
         elif sym == MARK:
-            while sr:
-                top = state.pop(sr)
-                if top == F_APP:
-                    state.push(sr, S_APP)
-                    break
+            _close(state, sr)
             while pos < n and cur[pos] in "01":
                 state.write(dest, state.read(cur, pos))
                 pos += 1
@@ -170,19 +168,21 @@ def find_redex_pass(state: MachineRState) -> str:
             nxt = state.read(cur, end) if end < n else ""
             if in_fun_position and nxt in (LAM, MARK):
                 arg_end = _copy_subterm(state, end, state.argument)
-                for k in range(arg_end, n):
-                    state.write(state.postredex, state.read(cur, k))
+                state.postredex.extend(cur[arg_end:])
+                state.op_count += 2 * (n - arg_end)
                 return FOUND
             # completed non-redex subterm: move it out and fold the stack
-            for s in state.functional:
-                state.preredex.append(s)
+            state.preredex.extend(state.functional)
             state.op_count += 2 * len(state.functional)
             state.functional.clear()
-            _scan_symbol(state, st, MARK)  # net stack effect of a whole subterm
+            _close(state, st)  # net stack effect of a whole subterm
             pos = end
         else:
             state.write(state.preredex, sym)
-            _scan_symbol(state, st, sym)
+            if sym == APP:
+                state.push(st, F_APP)
+            elif sym == MARK:
+                _close(state, st)
             pos += 1
     state.op_count += len(state.preredex) + len(st)
     state.preredex.clear()
@@ -260,22 +260,16 @@ def substitute_pass(state: MachineRState) -> MachineRState:
             digits = "".join(fn[dstart:dend])
             state.op_count += dend - dstart
             if _counter_equals(state, digits):
-                for s in state.argument:
-                    state.write(state.reduct, s)
-                    state.op_count += 1  # the paired read
+                state.reduct.extend(state.argument)
+                state.op_count += 2 * len(state.argument)  # read and write
             else:
                 state.write(state.reduct, MARK)
                 for d in digits:
                     state.write(state.reduct, d)
             pos = dend
             # closing abstraction bodies lowers the depth counter
-            while sr:
-                top = state.pop(sr)
-                if top == F_APP:
-                    state.push(sr, S_APP)
-                    break
-                if top == A_LAM:
-                    _counter_dec(state)
+            for _ in range(_close(state, sr)):
+                _counter_dec(state)
         else:
             raise MachineRError(f"unexpected symbol {sym!r} on Functional")
     return state
@@ -292,12 +286,8 @@ def reassemble_pass(state: MachineRState) -> MachineRState:
         raise MachineRError("Preredex does not end with the redex's application")
     pre.pop()
     state.op_count += 1
-    new_current: list[str] = []
-    for tape in (pre, state.reduct, state.postredex):
-        for s in tape:
-            new_current.append(s)
-        state.op_count += 2 * len(tape)
-    state.current[:] = new_current
+    state.current[:] = pre + state.reduct + state.postredex
+    state.op_count += 2 * len(state.current)
     for tape in (state.preredex, state.functional, state.argument,
                  state.postredex, state.reduct, state.stack_term,
                  state.stack_redex, state.counter):

@@ -1,7 +1,9 @@
+import hashlib
 import pathlib
 
 import pytest
 
+from cbvcost import bench
 from cbvcost.cli import main
 from cbvcost.turing import EVEN_PALINDROME_SPEC, FLIP_SPEC
 
@@ -133,3 +135,68 @@ def test_bench_cost_growth(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,steps,total_cost,time,ratio"
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", r"(\x.x)(\y.y)"],
+    ["run-tm", "{flip}", "011"],
+    ["compile-tm", "{flip}", "011"],
+    ["machine-r", "@L*0L*0"],
+])
+@pytest.mark.parametrize("fuel", ["0", "-3"])
+def test_non_positive_fuel_is_malformed_input(argv, fuel, flip_path, capsys):
+    argv = [a.format(flip=flip_path) for a in argv]
+    assert main(argv + ["--fuel", fuel]) == 1
+    assert capsys.readouterr().err.startswith("error: fuel must be positive")
+
+
+def test_machine_r_negative_corpus(capsys):
+    assert main(["machine-r", "--corpus", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: corpus size")
+
+
+def test_machine_r_corpus_reports_columns_by_name(capsys):
+    assert main(["machine-r", "--corpus", "2", "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "terms: 3"
+    assert out[1].startswith("max ops: ") and int(out[1].split()[-1]) > 0
+    assert out[2].startswith("max per-iteration constant: ")
+
+
+def test_machine_r_corpus_builder_failure(monkeypatch, capsys):
+    def give_up(seed, count):
+        raise RuntimeError("could not build corpus: 0/5")
+
+    monkeypatch.setattr(bench, "suite_machine_r_bounds", give_up)
+    assert main(["machine-r", "--corpus", "5"]) == 1
+    assert "could not build corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unread", [
+    ["run-tm", "{flip}", "011", "--seed", "1"],
+    ["run-tm", "{flip}", "011", "--out", "x.csv"],
+    ["compile-tm", "{flip}", "011", "--seed", "1"],
+    ["compile-tm", "{flip}", "011", "--out", "x.csv"],
+    ["bench", "PcaCosts", "--fuel", "10"],
+])
+def test_options_nothing_reads_are_rejected(unread, flip_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(flip=flip_path) for a in unread])
+    assert exc.value.code == 2
+
+
+# sha256 of the CSV `cbvcost bench SUITE --seed 42` writes; the bench CSVs
+# must stay byte-identical across refactors
+BENCH_CSV_SHA256 = {
+    "CostGrowth": "4735208e9ff0405fecbad849e92838c03cb508eb6a053744e3511a758f443f2e",
+    "AppendCosts": "b2d4316870211fbb1fb4763df399d3cc4df609d39503907a0b9d9b4fb98c612c",
+    "TmOverhead": "28be73b5364637b18aab5daaf529ad75ee1de79bb022fe1636b131fe25ad093b",
+    "PcaCosts": "dc006c484f278f3bf66cb6526c71a2b4b2fe24f47a0ad869dd3cef5c4ca4ab76",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BENCH_CSV_SHA256))
+def test_bench_csv_golden_digest(suite, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["bench", suite, "--seed", "42", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_CSV_SHA256[suite]

@@ -9,6 +9,7 @@ from cbvcost import (
     normalize, parse_term, random_closed_term, reassemble_pass, stack_update,
     step_at, substitute_pass,
 )
+from cbvcost.machine_r import _close
 
 RUNNING = parse_term(r"(\x.\y.x y y)(\z.z)(\w.w)")
 RUNNING_THETA = "@@λλ@@▶1▶0▶0λ▶0λ▶0"
@@ -42,6 +43,43 @@ def test_stack_update_push_rules():
     assert stack_update([F_APP], "@") == [F_APP, F_APP]
     assert stack_update([F_APP], "λ") == [F_APP, A_LAM]
     assert stack_update([S_APP, A_LAM, F_APP, S_APP, A_LAM], "▶") == [S_APP, A_LAM, S_APP]
+
+
+def test_counted_fold_matches_stack_update():
+    # push/_close is the counted form of stack_update: same stack after every
+    # prefix, one operation per pop and push, and _close returns the number
+    # of abstraction frames it popped
+    rng = random.Random(11)
+    strings = [RUNNING_THETA] + [encode_theta(random_closed_term(rng, 20))
+                                 for _ in range(200)]
+    for theta in strings:
+        state = MachineRState(current=[])
+        stack = []
+        spec = []
+        for sym in theta:
+            before = state.op_count
+            closed = None
+            if sym == "@":
+                state.push(stack, F_APP)
+            elif sym == "λ":
+                state.push(stack, A_LAM)
+            elif sym == "▶":
+                closed = _close(state, stack)
+            new_spec = stack_update(spec, sym)
+            assert stack == new_spec
+            if sym in "@λ":
+                pushes_and_pops = 1
+            elif sym != "▶":
+                pushes_and_pops = 0
+            elif F_APP in spec:
+                # pops down to the F, then one push of S
+                pushes_and_pops = len(spec) - len(new_spec) + 2
+            else:
+                pushes_and_pops = len(spec)
+            assert state.op_count - before == pushes_and_pops
+            if closed is not None:
+                assert closed == spec.count(A_LAM) - new_spec.count(A_LAM)
+            spec = new_spec
 
 
 def test_find_redex_fills_tapes_like_the_worked_example():
