@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .encodings import Alphabet, build_append, build_convert, encode_string, encode_symbol
 from .machine_r import MachineRResult, mr_normalize
 from .pca import apply_in_xi, build_combinator, pair, XiValue
-from .reduction import LEFTMOST, ReductionOutcome, normalize, random_closed_term
+from .reduction import LEFTMOST, ReductionOutcome, Zipper, normalize, random_closed_term
 from .terms import Abs, App, BoundVar, FreeVar, Term
 from .theta import encode_theta
 from .turing import even_palindrome_machine, flip_machine, run_compiled
@@ -148,6 +148,29 @@ def suite_tm_overhead(seed: int = 42, max_len: int = 6, fuel: int = 2_000_000) -
                        rows, failures)
 
 
+def normalizes_within(t: Term, fuel: int, size_limit: int) -> bool:
+    """The divergence probe: True when leftmost reduction of `t` reaches a
+    normal form in fewer than `fuel` steps with no term larger than
+    `size_limit`.
+
+    A repeated term proves divergence.  Brent's cycle detection (BIT 1980)
+    finds one while keeping a single checkpoint, the term at step 1, 2, 4,
+    ...; the whole term is rebuilt only when its size equals the
+    checkpoint's, so the probe runs in memory bounded by the largest term.
+    """
+    z = Zipper(t)
+    mark, mark_step = t, 1
+    for step in range(1, fuel + 1):
+        if z.n_redexes == 0:
+            return True
+        z.fire(0)
+        if z.size > size_limit or (z.size == mark.size and z.term() == mark):
+            return False
+        if step == mark_step:
+            mark, mark_step = z.term(), 2 * mark_step
+    return False
+
+
 def make_normalizing_corpus(seed: int, count: int, max_size: int,
                             min_size: int = 2, fuel: int = 1500,
                             size_limit: int = 50_000) -> list[Term]:
@@ -158,22 +181,7 @@ def make_normalizing_corpus(seed: int, count: int, max_size: int,
     while len(corpus) < count and attempts < count * 400:
         attempts += 1
         t = random_closed_term(rng, max_size)
-        if not min_size <= t.size <= max_size:
-            continue
-        # cheap probe with a size guard and cycle detection
-        seen = {t}
-        cur = t
-        ok = False
-        for _ in range(fuel):
-            if cur.n_redexes == 0:
-                ok = True
-                break
-            outcome = normalize(cur, LEFTMOST, 1)
-            cur = outcome.term
-            if cur.size > size_limit or cur in seen:
-                break
-            seen.add(cur)
-        if ok:
+        if min_size <= t.size <= max_size and normalizes_within(t, fuel, size_limit):
             corpus.append(t)
     if len(corpus) < count:
         raise RuntimeError(f"could not build corpus: {len(corpus)}/{count}")

@@ -92,12 +92,21 @@ def cmd_compile_tm(args) -> int:
     return OK
 
 
+def _write_report(path: str, report: bench.SuiteReport) -> None:
+    with open(path, "w", newline="") as fp:
+        writer = csv.writer(fp)
+        writer.writerow(report.header)
+        writer.writerows(report.rows)
+
+
 def cmd_machine_r(args) -> int:
     if args.corpus < 0:
         return _fail(f"corpus size must not be negative, got {args.corpus}", BAD_INPUT)
     if args.corpus:
+        if args.input:
+            return _fail("--corpus takes no input term", BAD_INPUT)
         try:
-            report = bench.suite_machine_r_bounds(args.seed, args.corpus)
+            report = bench.suite_machine_r_bounds(args.seed, args.corpus, args.fuel)
         except RuntimeError as e:
             return _fail(str(e), BAD_INPUT)
         col = report.header.index
@@ -106,6 +115,9 @@ def cmd_machine_r(args) -> int:
         print(f"terms: {len(report.rows)}")
         print(f"max ops: {max(ops)}")
         print(f"max per-iteration constant: {max(cs):.4f}")
+        if args.out:
+            _write_report(args.out, report)
+            print(f"suite CSV written to {args.out}")
         for failure in report.failures:
             print(f"violation: {failure}", file=sys.stderr)
         return OK if not report.failures else MISMATCH
@@ -171,10 +183,7 @@ def cmd_bench(args) -> int:
     except RuntimeError as e:
         return _fail(str(e), BAD_INPUT)
     out = args.out or f"bench_{args.suite.lower()}.csv"
-    with open(out, "w", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(report.header)
-        writer.writerows(report.rows)
+    _write_report(out, report)
     print(f"{len(report.rows)} rows written to {out}")
     if report.failures:
         for failure in report.failures:

@@ -135,6 +135,96 @@ def step_at(t: Term, path: Position) -> tuple[Term, int]:
     return new, max(1, new.size - t.size)
 
 
+def _plug(parent: App, side: str, node: Term) -> App:
+    """`parent` with its `side` child replaced by `node` (shared if unchanged)."""
+    if side == FUN:
+        return parent if parent.fun is node else App(node, parent.arg)
+    return parent if parent.arg is node else App(parent.fun, node)
+
+
+class Zipper:
+    """A term opened at one subterm (Huet, "The Zipper", JFP 1997).
+
+    `focus` is the subterm, `parents` the applications from the root down
+    to it and `path` the side (FUN or ARG) taken at each.  A parent may be
+    stale on the side of the path but is current on the other, so plugging
+    the focus back in rebuilds only the frames it passes.  `before` and
+    `after` count the redexes left and right of the focus (no parent is
+    itself a redex: its child on the path is an application) and `size` is
+    the size of the whole term.  A step therefore costs the frames it moves
+    plus the substitution, not the depth of the spine.
+    """
+
+    __slots__ = ("focus", "parents", "path", "before", "after", "size")
+
+    def __init__(self, t: Term):
+        self.focus = t
+        self.parents: list[App] = []
+        self.path: list[str] = []
+        self.before = 0
+        self.after = 0
+        self.size = t.size
+
+    @property
+    def n_redexes(self) -> int:
+        return self.before + self.focus.n_redexes + self.after
+
+    def _up(self) -> None:
+        parent = self.parents.pop()
+        side = self.path.pop()
+        if side == FUN:
+            self.after -= parent.arg.n_redexes
+        else:
+            self.before -= parent.fun.n_redexes
+        self.focus = _plug(parent, side, self.focus)
+
+    def fire(self, k: int) -> TraceStep:
+        """Fire redex #k in left-to-right order; equal to
+        step_at(self.term(), redex_path(self.term(), k)) on the whole term.
+
+        Climbs only until the focus holds redex #k, then descends as
+        `redex_path` does.  Afterwards the focus is the reduct's parent,
+        which the step may have turned into a redex.
+        """
+        if not 0 <= k < self.n_redexes:
+            raise InvalidPositionError(f"term has {self.n_redexes} redexes, asked for #{k}")
+        while not self.before <= k < self.before + self.focus.n_redexes:
+            self._up()
+        k -= self.before
+        node = self.focus
+        while True:
+            if is_redex(node):
+                if k == 0:
+                    break
+                k -= 1
+            self.parents.append(node)
+            f = node.fun.n_redexes
+            if k < f:
+                self.path.append(FUN)
+                self.after += node.arg.n_redexes
+                node = node.fun
+            else:
+                k -= f
+                self.path.append(ARG)
+                self.before += f
+                node = node.arg
+        reduct = substitute_top(node.fun.body, node.arg)
+        growth = reduct.size - node.size
+        self.size += growth
+        step = TraceStep(tuple(self.path), max(1, growth), self.size)
+        self.focus = reduct
+        if self.parents:
+            self._up()
+        return step
+
+    def term(self) -> Term:
+        """The whole term; the focus does not move."""
+        node = self.focus
+        for parent, side in zip(reversed(self.parents), reversed(self.path)):
+            node = _plug(parent, side, node)
+        return node
+
+
 def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
               seed: int = 42) -> ReductionOutcome:
     """Reduce until no redex remains or fuel runs out.
@@ -149,21 +239,19 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed) if strategy == RANDOM else None
     trace = CostTrace(t.size)
-    cur = t
+    z = Zipper(t)
     for _ in range(fuel):
-        n = cur.n_redexes
+        n = z.n_redexes
         if n == 0:
-            return ReductionOutcome(cur, trace, True)
+            return ReductionOutcome(z.term(), trace, True)
         if strategy == LEFTMOST:
             k = 0
         elif strategy == RIGHTMOST:
             k = n - 1
         else:
             k = rng.randrange(n)
-        path = redex_path(cur, k)
-        cur, cost = step_at(cur, path)
-        trace.steps.append(TraceStep(path, cost, cur.size))
-    return ReductionOutcome(cur, trace, False)
+        trace.steps.append(z.fire(k))
+    return ReductionOutcome(z.term(), trace, False)
 
 
 def time_of(t: Term, fuel: int = 100_000) -> Optional[int]:

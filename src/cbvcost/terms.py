@@ -262,66 +262,73 @@ def parse_term(text: str) -> Term:
     """Parse surface syntax: `\\x.body` or `λx.body`, juxtaposition applies left.
 
     Free variables are arbitrary identifiers.  Raises ParseError with the
-    offending offset.
+    offending offset.  The parser keeps its own stack, so nesting depth is
+    bounded by memory, not by Python's recursion limit.
     """
-    term, pos = _parse_expr(text, _skip_ws(text, 0), ())
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError("unexpected input after term", pos)
-    return term
+    env: list[str] = []  # binder names in scope, innermost last
+    # the expressions enclosing the current one: (application read so far,
+    # what ends it: _PAREN, _BINDER, or _INPUT for the whole text)
+    enclosing: list[tuple[Term | None, str]] = []
+    result: Term | None = None
+    closer = _INPUT
+    pos = 0
+    while True:
+        pos = _skip_ws(text, pos)
+        if pos < len(text) and text[pos] != ")":
+            if text[pos] in "\\λ":
+                name, pos = _read_ident(text, _skip_ws(text, pos + 1))
+                pos = _skip_ws(text, pos)
+                if pos >= len(text) or text[pos] != ".":
+                    raise ParseError("expected '.' after binder", pos)
+                env.append(name)
+                enclosing.append((result, closer))
+                result, closer = None, _BINDER
+                pos += 1
+            elif text[pos] == "(":
+                enclosing.append((result, closer))
+                result, closer = None, _PAREN
+                pos += 1
+            else:
+                name, pos = _read_ident(text, pos)
+                result = _apply(result, _variable(env, name))
+            continue
+        if result is None:
+            raise ParseError("expected a term", pos)
+        # an abstraction body extends maximally right, so it ends the
+        # expression it sits in as well
+        while closer == _BINDER:
+            env.pop()
+            outer, closer = enclosing.pop()
+            result = _apply(outer, Abs(result))
+        if closer == _INPUT:
+            if pos != len(text):
+                raise ParseError("unexpected input after term", pos)
+            return result
+        if pos >= len(text):
+            raise ParseError("expected ')'", pos)
+        outer, closer = enclosing.pop()
+        result = _apply(outer, result)
+        pos += 1
+
+
+_INPUT, _PAREN, _BINDER = "input", "(", "\\"
+
+
+def _apply(fun: Term | None, arg: Term) -> Term:
+    return arg if fun is None else App(fun, arg)
+
+
+def _variable(env: list[str], name: str) -> Term:
+    for back, bound in enumerate(reversed(env)):
+        if bound == name:
+            return BoundVar(back)
+    return FreeVar(name)
 
 
 def _skip_ws(text: str, pos: int) -> int:
     while pos < len(text) and text[pos].isspace():
         pos += 1
     return pos
-
-
-def _parse_expr(text: str, pos: int, env: tuple[str, ...]):
-    result = None
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] == ")":
-            break
-        if text[pos] in "\\λ":
-            sub, pos = _parse_abs(text, pos, env)
-            result = sub if result is None else App(result, sub)
-            break  # an abstraction body extends maximally right
-        atom, pos = _parse_atom(text, pos, env)
-        result = atom if result is None else App(result, atom)
-    if result is None:
-        raise ParseError("expected a term", min(pos, len(text)))
-    return result, pos
-
-
-def _parse_abs(text: str, pos: int, env: tuple[str, ...]):
-    binders: list[str] = []
-    while pos < len(text) and text[pos] in "\\λ":
-        pos = _skip_ws(text, pos + 1)
-        name, pos = _read_ident(text, pos)
-        binders.append(name)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ".":
-            raise ParseError("expected '.' after binder", pos)
-        pos = _skip_ws(text, pos + 1)
-    body, pos = _parse_expr(text, pos, env + tuple(binders))
-    for _ in binders:
-        body = Abs(body)
-    return body, pos
-
-
-def _parse_atom(text: str, pos: int, env: tuple[str, ...]):
-    if text[pos] == "(":
-        term, pos = _parse_expr(text, _skip_ws(text, pos + 1), env)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise ParseError("expected ')'", pos)
-        return term, pos + 1
-    name, pos = _read_ident(text, pos)
-    for back, bound in enumerate(reversed(env)):
-        if bound == name:
-            return BoundVar(back), pos
-    return FreeVar(name), pos
 
 
 def _read_ident(text: str, pos: int):

@@ -164,12 +164,42 @@ def test_machine_r_corpus_reports_columns_by_name(capsys):
 
 
 def test_machine_r_corpus_builder_failure(monkeypatch, capsys):
-    def give_up(seed, count):
+    def give_up(seed, count, fuel):
         raise RuntimeError("could not build corpus: 0/5")
 
     monkeypatch.setattr(bench, "suite_machine_r_bounds", give_up)
     assert main(["machine-r", "--corpus", "5"]) == 1
     assert "could not build corpus" in capsys.readouterr().err
+
+
+def test_machine_r_corpus_rejects_an_input_term(capsys):
+    assert main(["machine-r", r"(\x.x)(\y.y)", "--corpus", "2"]) == 1
+    assert "--corpus takes no input term" in capsys.readouterr().err
+
+
+def test_machine_r_corpus_runs_with_the_given_fuel(capsys):
+    # one iteration cannot finish a corpus term that needs a β-step, and the
+    # engine needs one more to see the normal form
+    assert main(["machine-r", "--corpus", "2", "--seed", "0", "--fuel", "1"]) == 3
+    assert "machine and engine disagree" in capsys.readouterr().err
+
+
+def test_machine_r_corpus_writes_the_suite_csv(tmp_path, capsys):
+    out = tmp_path / "corpus.csv"
+    assert main(["machine-r", "--corpus", "2", "--seed", "0", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "scale,term,size,iterations,ops,time,max_c_iter,c_global"
+    assert len(lines) == 1 + 3
+    assert f"suite CSV written to {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("(" * 5000 + "x" + ")" * 5000, id="parentheses"),
+    pytest.param("(\\x. " * 5000 + "x" + ")" * 5000, id="abstractions"),
+])
+def test_normalize_deeply_nested_input(text, capsys):
+    assert main(["normalize", text]) == 0
+    assert "steps: 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("unread", [
@@ -191,6 +221,7 @@ BENCH_CSV_SHA256 = {
     "CostGrowth": "4735208e9ff0405fecbad849e92838c03cb508eb6a053744e3511a758f443f2e",
     "AppendCosts": "b2d4316870211fbb1fb4763df399d3cc4df609d39503907a0b9d9b4fb98c612c",
     "TmOverhead": "28be73b5364637b18aab5daaf529ad75ee1de79bb022fe1636b131fe25ad093b",
+    "MachineRBounds": "1f08cf9e1b99b8ed6feb596b9539684ba7bd55273968e56dbad40e1cb95caa83",
     "PcaCosts": "dc006c484f278f3bf66cb6526c71a2b4b2fe24f47a0ad869dd3cef5c4ca4ab76",
 }
 

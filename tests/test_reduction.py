@@ -9,6 +9,7 @@ from cbvcost import (
     parse_term, random_closed_term, redex_path, size, step_at, subterm_at,
     time_of, write_trace_csv,
 )
+from cbvcost.reduction import Zipper
 
 OMEGA = parse_term(r"(\x.x x)(\x.x x)")
 
@@ -114,6 +115,26 @@ def test_trace_replay_is_sound(rng):
             assert cost == step.cost == max(1, size(cur) - prev_size)
             prev_size = size(cur)
         assert cur == o.term
+
+
+def test_zipper_steps_match_step_at_on_the_whole_term(rng):
+    for _ in range(300):
+        t = random_closed_term(rng, rng.choice((12, 20, 30)))
+        z, cur = Zipper(t), t
+        for _ in range(60):
+            n = cur.n_redexes
+            assert z.n_redexes == n
+            if n == 0:
+                break
+            k = rng.randrange(n)
+            path = redex_path(cur, k)
+            cur, cost = step_at(cur, path)
+            step = z.fire(k)
+            assert (step.position, step.cost, step.size_after) == (path, cost, size(cur))
+            assert z.size == size(cur)
+            assert z.term() == cur
+        with pytest.raises(InvalidPositionError):
+            z.fire(z.n_redexes)
 
 
 def test_bounding_along_reductions(rng):

@@ -29,6 +29,25 @@ def test_parse_unclosed_abstraction_offset():
     assert e.value.position == 4
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("", "expected a term", 0),
+    ("a ()", "expected a term", 3),
+    ("\\x x", "expected '.' after binder", 3),
+    ("\\ .x", "expected an identifier", 2),
+    ("(x y", "expected ')'", 4),
+    ("x y) z", "unexpected input after term", 3),
+    pytest.param("(" * 3000 + "x", "expected ')'", 3001, id="deep-unclosed"),
+    pytest.param("(" * 3000 + "x" + ")" * 3001, "unexpected input after term", 6001,
+                 id="deep-overclosed"),
+    pytest.param("\\x." * 3000 + "(", "expected a term", 9001, id="deep-empty-body"),
+])
+def test_parse_error_offsets(text, message, offset):
+    with pytest.raises(ParseError) as e:
+        parse_term(text)
+    assert str(e.value) == f"{message} (offset {offset})"
+    assert e.value.position == offset
+
+
 def test_parse_application_associates_left():
     assert parse_term("a b c") == App(App(FreeVar("a"), FreeVar("b")), FreeVar("c"))
 
