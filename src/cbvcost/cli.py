@@ -105,8 +105,10 @@ def cmd_machine_r(args) -> int:
     if args.corpus:
         if args.input:
             return _fail("--corpus takes no input term", BAD_INPUT)
+        if args.fuel is not None:
+            return _fail("--corpus takes no --fuel; the suite runs with its own", BAD_INPUT)
         try:
-            report = bench.suite_machine_r_bounds(args.seed, args.corpus, args.fuel)
+            report = bench.suite_machine_r_bounds(args.seed, args.corpus)
         except RuntimeError as e:
             return _fail(str(e), BAD_INPUT)
         col = report.header.index
@@ -121,6 +123,7 @@ def cmd_machine_r(args) -> int:
         for failure in report.failures:
             print(f"violation: {failure}", file=sys.stderr)
         return OK if not report.failures else MISMATCH
+    fuel = 100_000 if args.fuel is None else args.fuel
     text = args.input
     cross_check = None
     try:
@@ -136,11 +139,11 @@ def cmd_machine_r(args) -> int:
     except ParseError as e:
         return _fail(str(e), BAD_INPUT)
     try:
-        result = mr_normalize(theta, args.fuel)
+        result = mr_normalize(theta, fuel)
     except (MalformedThetaError, MachineRError) as e:
         return _fail(str(e), BAD_INPUT)
     if not result.normalized:
-        print(f"no normal form within {args.fuel} iterations")
+        print(f"no normal form within {fuel} iterations")
         return OUT_OF_FUEL
     print(f"output: {theta_to_ascii(result.theta)}")
     print(f"iterations: {len(result.iterations)}")
@@ -153,7 +156,7 @@ def cmd_machine_r(args) -> int:
                 writer.writerow([i, it.tl_before, it.tl_after, it.ops])
         print(f"iteration log written to {args.out}")
     if cross_check is not None:
-        engine = normalize(cross_check, "leftmost", max(args.fuel * 4, 1000))
+        engine = normalize(cross_check, "leftmost", max(fuel * 4, 1000))
         if not bench.agrees_with_engine(result, engine):
             return _fail("tape machine and reduction engine disagree", MISMATCH)
         print("engine cross-check: ok")
@@ -225,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="surface-syntax term or raw string notation (L for λ, * for ▶)")
     p.add_argument("--corpus", type=int, default=0, metavar="N",
                    help="run N seeded random terms and report bound constants")
-    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
+    p.add_argument("--fuel", type=int, metavar="N",
+                   help="iteration bound for one term (default 100000); "
+                        "--corpus runs with the suite's own")
     p.add_argument("--seed", type=int, default=42, metavar="N")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_machine_r)
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "fuel", 1) <= 0:
+    if getattr(args, "fuel", None) is not None and args.fuel <= 0:
         return _fail(f"fuel must be positive, got {args.fuel}", BAD_INPUT)
     try:
         return args.func(args)

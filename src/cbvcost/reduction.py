@@ -151,8 +151,10 @@ class Zipper:
     the focus back in rebuilds only the frames it passes.  `before` and
     `after` count the redexes left and right of the focus (no parent is
     itself a redex: its child on the path is an application) and `size` is
-    the size of the whole term.  A step therefore costs the frames it moves
-    plus the substitution, not the depth of the spine.
+    the size of the whole term.  A step therefore builds applications only
+    for the frames it climbs and for the substitution, never for the whole
+    spine; the one cost left in the depth is copying the path into the
+    step's position tuple.
     """
 
     __slots__ = ("focus", "parents", "path", "before", "after", "size")

@@ -1,9 +1,8 @@
 import hashlib
-import time
 
 import pytest
 
-from cbvcost import bench, parse_term, reduction
+from cbvcost import bench, parse_term, reduction, terms
 from cbvcost.theta import encode_theta
 
 # sha256 of the theta strings, one per line, of the seed-42 base corpus
@@ -36,12 +35,21 @@ def test_probe_stops_at_a_cycle(text, fired):
     assert fired[0] <= 4
 
 
-def test_probe_rejects_a_growing_divergent_term_quickly():
-    # the spine grows by two frames per step, and no term repeats
+def test_probe_builds_few_applications_per_step(fired, monkeypatch):
+    # the spine grows by two frames per step, and no term repeats; a step
+    # that rebuilt the spine would build about 2,000 applications on average
+    built = [0]
+    init = terms.App.__init__
+
+    def counting_init(self, fun, arg):
+        built[0] += 1
+        init(self, fun, arg)
+
+    monkeypatch.setattr(terms.App, "__init__", counting_init)
     t = parse_term(r"(\x.x) (\x.x x) (\x.x (x x) x)")
-    start = time.perf_counter()
     assert not bench.normalizes_within(t, 2000, 50_000)
-    assert time.perf_counter() - start < 1.0
+    assert fired[0] == 2000
+    assert built[0] <= 10 * fired[0]
 
 
 def test_probe_accepts_a_normalizing_term():

@@ -164,7 +164,7 @@ def test_machine_r_corpus_reports_columns_by_name(capsys):
 
 
 def test_machine_r_corpus_builder_failure(monkeypatch, capsys):
-    def give_up(seed, count, fuel):
+    def give_up(seed, count):
         raise RuntimeError("could not build corpus: 0/5")
 
     monkeypatch.setattr(bench, "suite_machine_r_bounds", give_up)
@@ -177,11 +177,9 @@ def test_machine_r_corpus_rejects_an_input_term(capsys):
     assert "--corpus takes no input term" in capsys.readouterr().err
 
 
-def test_machine_r_corpus_runs_with_the_given_fuel(capsys):
-    # one iteration cannot finish a corpus term that needs a β-step, and the
-    # engine needs one more to see the normal form
-    assert main(["machine-r", "--corpus", "2", "--seed", "0", "--fuel", "1"]) == 3
-    assert "machine and engine disagree" in capsys.readouterr().err
+def test_machine_r_corpus_rejects_fuel(capsys):
+    assert main(["machine-r", "--corpus", "2", "--fuel", "4000"]) == 1
+    assert "--corpus takes no --fuel" in capsys.readouterr().err
 
 
 def test_machine_r_corpus_writes_the_suite_csv(tmp_path, capsys):
