@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: normalize, run-tm, compile-tm, machine-r, encode, bench.
-Exit codes: 0 success, 1 malformed input or failed suite assertion,
-2 fuel exhausted, 3 cross-check mismatch.  All randomness is drawn from
---seed, so outputs (including CSV files) are byte-identical across runs.
+Exit codes: 0 success, 1 malformed input, usage error or failed suite
+assertion, 2 fuel exhausted, 3 cross-check mismatch.  All randomness is
+drawn from --seed, so outputs (including CSV files) are byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ OK, BAD_INPUT, OUT_OF_FUEL, MISMATCH = 0, 1, 2, 3
 
 _THETA_RE = re.compile(r"^[L@*01λ▶]+$")
 
+# `normalize` prints a normal form larger than this many nodes as its size
+PRINT_LIMIT = 10_000
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -42,7 +46,10 @@ def cmd_normalize(args) -> int:
         print(f"steps: {outcome.steps}")
         print(f"cost: {outcome.trace.total_cost}")
         return OUT_OF_FUEL
-    print(f"normal form: {print_term(outcome.term)}")
+    if outcome.term.size > PRINT_LIMIT:
+        print(f"normal form: {outcome.term.size} nodes, not printed (more than {PRINT_LIMIT})")
+    else:
+        print(f"normal form: {print_term(outcome.term)}")
     print(f"steps: {outcome.steps}")
     print(f"cost: {outcome.trace.total_cost}")
     print(f"time: {outcome.time()}")
@@ -196,8 +203,16 @@ def cmd_bench(args) -> int:
     return OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as argparse's 2 means fuel exhausted here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cbvcost",
         description="Call-by-value lambda calculus workbench with the "
                     "size-difference cost model")

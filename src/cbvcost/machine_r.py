@@ -16,7 +16,10 @@ Counter.  Each iteration performs one normalization step of the calculus:
 Abstractions are scanned only for their extent, never for redexes inside,
 which is exactly the no-reduction-under-λ discipline.  The operation
 counter charges one unit per single-symbol read, write, push or pop; that
-proxy is the "machine step" used by every report.
+proxy is the "machine step" used by every report.  A pass charges a whole
+copied subterm, and the binary Counter's arithmetic, in closed form: the
+count equals the symbol-by-symbol one, which the tests keep as the
+reference.
 """
 
 from __future__ import annotations
@@ -117,34 +120,36 @@ def _close(state: MachineRState, stack: list[str]) -> int:
 
 
 def _copy_subterm(state: MachineRState, start: int, dest: list[str]) -> int:
-    """Copy one complete subterm of Current starting at `start` into `dest`.
-
-    The extent is tracked with StackRedex: a well-formed subterm ends at the
-    variable occurrence that empties the stack.  Returns the end position.
+    """Copy one complete subterm of Current starting at `start` into `dest`
+    and return its end.  `need` counts the subterms still to read: @ adds
+    one, ▶ and its digits complete one.  The charge is that of the copy
+    through StackRedex, empty before and after: a read and a write per
+    symbol, per @ a push and a pop of F and of S, per λ of A.
     """
     cur = state.current
     n = len(cur)
-    sr = state.stack_redex
+    need = 1
+    apps = lams = 0
     pos = start
-    while True:
+    while need:
         if pos >= n:
             raise MachineRError("truncated subterm on Current")
-        sym = state.read(cur, pos)
-        state.write(dest, sym)
+        sym = cur[pos]
         pos += 1
         if sym == APP:
-            state.push(sr, F_APP)
+            need += 1
+            apps += 1
         elif sym == LAM:
-            state.push(sr, A_LAM)
+            lams += 1
         elif sym == MARK:
-            _close(state, sr)
+            need -= 1
             while pos < n and cur[pos] in "01":
-                state.write(dest, state.read(cur, pos))
                 pos += 1
-            if not sr:
-                return pos
         else:
             raise MachineRError(f"unexpected symbol {sym!r} at a subterm boundary")
+    dest.extend(cur[start:pos])
+    state.op_count += 2 * (pos - start) + 4 * apps + 2 * lams
+    return pos
 
 
 def find_redex_pass(state: MachineRState) -> str:
@@ -190,88 +195,62 @@ def find_redex_pass(state: MachineRState) -> str:
     return NO_REDEX
 
 
-def _counter_inc(state: MachineRState) -> None:
-    c = state.counter
-    i = len(c) - 1
-    while i >= 0:
-        state.op_count += 1
-        if c[i] == "0":
-            c[i] = "1"
-            return
-        c[i] = "0"
-        i -= 1
-    c.insert(0, "1")
-    state.op_count += 1
-
-
-def _counter_dec(state: MachineRState) -> None:
-    c = state.counter
-    i = len(c) - 1
-    while i >= 0:
-        state.op_count += 1
-        if c[i] == "1":
-            c[i] = "0"
-            break
-        c[i] = "1"
-        i -= 1
-    else:
-        raise MachineRError("depth counter underflow")
-    if len(c) > 1 and c[0] == "0":
-        c.pop(0)
-        state.op_count += 1
-
-
-def _counter_equals(state: MachineRState, digits: str) -> bool:
-    c = state.counter
-    state.op_count += min(len(c), len(digits)) + 1
-    if len(c) != len(digits):
-        return False
-    return all(a == b for a, b in zip(c, digits))
-
-
 def substitute_pass(state: MachineRState) -> MachineRState:
     """Step 2: Functional minus its first λ goes to Reduct, with the erased
-    binder's occurrences replaced by Argument copied verbatim."""
+    binder's occurrences replaced by Argument copied verbatim.
+
+    The Counter holds the λ-depth d, its digits charged in closed form: an
+    increment visits d's trailing ones and one more digit, a decrement its
+    trailing zeros and one more, plus the leading zero it drops when d >= 2
+    is a power of two; comparing with an index visits the shorter digit
+    string and one more."""
     fn = state.functional
     n = len(fn)
     if not fn or fn[0] != LAM:
         raise MachineRError("Functional does not start with an abstraction")
-    state.op_count += 1  # read (and erase) the leading λ
-    state.counter[:] = ["0"]
-    state.op_count += 1
+    reduct = state.reduct
     sr = state.stack_redex
+    d = 0
+    ops = 2  # read (and erase) the leading λ, set the Counter to 0
     pos = 1
     while pos < n:
-        sym = state.read(fn, pos)
+        sym = fn[pos]
         if sym == LAM:
-            state.write(state.reduct, sym)
-            state.push(sr, A_LAM)
-            _counter_inc(state)
+            reduct.append(sym)
+            sr.append(A_LAM)
+            ops += 3 + (~d & (d + 1)).bit_length()  # read, write, push; increment
+            d += 1
             pos += 1
         elif sym == APP:
-            state.write(state.reduct, sym)
-            state.push(sr, F_APP)
+            reduct.append(sym)
+            sr.append(F_APP)
+            ops += 3  # read, write, push
             pos += 1
         elif sym == MARK:
-            dstart = pos + 1
-            dend = dstart
+            dend = pos + 1
             while dend < n and fn[dend] in "01":
                 dend += 1
-            digits = "".join(fn[dstart:dend])
-            state.op_count += dend - dstart
-            if _counter_equals(state, digits):
-                state.reduct.extend(state.argument)
-                state.op_count += 2 * len(state.argument)  # read and write
+            digits = "".join(fn[pos + 1:dend])
+            depth = format(d, "b")
+            ops += dend - pos + min(len(depth), len(digits)) + 1  # reads; compare
+            if digits == depth:
+                reduct.extend(state.argument)
+                ops += 2 * len(state.argument)  # read and write
             else:
-                state.write(state.reduct, MARK)
-                for d in digits:
-                    state.write(state.reduct, d)
+                reduct.extend(fn[pos:dend])
+                ops += dend - pos
             pos = dend
             # closing abstraction bodies lowers the depth counter
             for _ in range(_close(state, sr)):
-                _counter_dec(state)
+                if d == 0:
+                    raise MachineRError("depth counter underflow")
+                low = d & -d
+                ops += low.bit_length() + (d > 1 and low == d)
+                d -= 1
         else:
             raise MachineRError(f"unexpected symbol {sym!r} on Functional")
+    state.counter[:] = format(d, "b")
+    state.op_count += ops
     return state
 
 

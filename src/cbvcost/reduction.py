@@ -229,7 +229,8 @@ class Zipper:
 
 def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
               seed: int = 42) -> ReductionOutcome:
-    """Reduce until no redex remains or fuel runs out.
+    """Reduce until no redex remains or `fuel` steps are spent; a normal
+    form reached by the last step counts.
 
     Divergence is undecidable; fuel exhaustion is an ordinary outcome, never
     an error.  The random strategy draws every choice from `seed`, so runs
@@ -253,7 +254,7 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
         else:
             k = rng.randrange(n)
         trace.steps.append(z.fire(k))
-    return ReductionOutcome(z.term(), trace, False)
+    return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
 
 
 def time_of(t: Term, fuel: int = 100_000) -> Optional[int]:

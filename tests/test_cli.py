@@ -210,7 +210,47 @@ def test_normalize_deeply_nested_input(text, capsys):
 def test_options_nothing_reads_are_rejected(unread, flip_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([a.format(flip=flip_path) for a in unread])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["normalize", r"(\x.x)(\y.y)", "--bogus"], id="unknown-option"),
+    pytest.param(["bench", "NoSuchSuite"], id="invalid-suite"),
+    pytest.param(["normalize", r"(\x.x)(\y.y)", "--fuel", "ten"], id="non-integer-fuel"),
+])
+def test_usage_errors_exit_with_bad_input(argv, capsys):
+    # exit 2 means fuel exhausted, so a typo must not look like divergence
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--help"])
+    assert exc.value.code == 0
+
+
+def test_normalize_in_exactly_fuel_steps(capsys):
+    assert main(["normalize", r"(\x.x)(\y.y)", "--fuel", "1"]) == 0
+    assert "normal form: \\x0.x0" in capsys.readouterr().out
+
+
+def test_normalize_prints_the_size_of_a_huge_normal_form(capsys):
+    # D = \x.\k.k x x doubles its argument: at depth 60 the normal form has
+    # 6 * 2^60 - 4 nodes (shared in memory, not in print)
+    term = r"\z.z"
+    for _ in range(60):
+        term = rf"(\x.\k.k x x) ({term})"
+    assert main(["normalize", term]) == 0
+    out = capsys.readouterr().out
+    assert len(out) < 1024
+    assert f"normal form: {6 * 2 ** 60 - 4} nodes, not printed" in out
+    assert "steps: 60" in out
+    # step i replaces a redex of size 8 + |V_i| by V_(i+1), |V_i| = 6 * 2^i - 4
+    weight = 1 + sum(6 * 2 ** i - 8 for i in range(1, 60))
+    assert f"time: {weight + 8 * 60 + 2}" in out
 
 
 # sha256 of the CSV `cbvcost bench SUITE --seed 42` writes; the bench CSVs

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from cbvcost import (
-    A_LAM, F_APP, FOUND, NO_REDEX, S_APP,
+    A_LAM, App, FreeVar, F_APP, FOUND, NO_REDEX, S_APP,
     MachineRError, MachineRState, MalformedThetaError,
     decode_theta, encode_theta, find_redex_pass, find_redexes, mr_normalize,
     normalize, parse_term, random_closed_term, reassemble_pass, stack_update,
     step_at, substitute_pass,
 )
-from cbvcost.machine_r import _close
+from cbvcost import machine_r
+from cbvcost.machine_r import _close, _copy_subterm
 
 RUNNING = parse_term(r"(\x.\y.x y y)(\z.z)(\w.w)")
 RUNNING_THETA = "@@λλ@@▶1▶0▶0λ▶0λ▶0"
@@ -234,3 +235,217 @@ def test_iteration_records_and_op_accounting():
     assert [it.tl_before for it in result.iterations][0] == len(RUNNING_THETA)
     assert all(it.ops > 0 for it in result.iterations)
     assert result.op_count >= sum(it.ops for it in result.iterations)
+
+
+# --- the symbol-by-symbol reference for the closed-form charges -------------
+#
+# The machine charges a copied subterm and the depth-counter arithmetic in
+# closed form.  These are the symbol-by-symbol versions it replaced: every
+# read, write, push and pop, and every counter digit visited, costs one
+# operation.  The machine must leave the same tapes and the same op_count.
+
+def ref_copy_subterm(state, start, dest):
+    cur = state.current
+    n = len(cur)
+    sr = state.stack_redex
+    pos = start
+    while True:
+        if pos >= n:
+            raise MachineRError("truncated subterm on Current")
+        sym = state.read(cur, pos)
+        state.write(dest, sym)
+        pos += 1
+        if sym == "@":
+            state.push(sr, F_APP)
+        elif sym == "λ":
+            state.push(sr, A_LAM)
+        elif sym == "▶":
+            _close(state, sr)
+            while pos < n and cur[pos] in "01":
+                state.write(dest, state.read(cur, pos))
+                pos += 1
+            if not sr:
+                return pos
+        else:
+            raise MachineRError(f"unexpected symbol {sym!r} at a subterm boundary")
+
+
+def ref_counter_inc(state):
+    c = state.counter
+    i = len(c) - 1
+    while i >= 0:
+        state.op_count += 1
+        if c[i] == "0":
+            c[i] = "1"
+            return
+        c[i] = "0"
+        i -= 1
+    c.insert(0, "1")
+    state.op_count += 1
+
+
+def ref_counter_dec(state):
+    c = state.counter
+    i = len(c) - 1
+    while i >= 0:
+        state.op_count += 1
+        if c[i] == "1":
+            c[i] = "0"
+            break
+        c[i] = "1"
+        i -= 1
+    else:
+        raise MachineRError("depth counter underflow")
+    if len(c) > 1 and c[0] == "0":
+        c.pop(0)
+        state.op_count += 1
+
+
+def ref_counter_equals(state, digits):
+    c = state.counter
+    state.op_count += min(len(c), len(digits)) + 1
+    if len(c) != len(digits):
+        return False
+    return all(a == b for a, b in zip(c, digits))
+
+
+def ref_substitute_pass(state):
+    fn = state.functional
+    n = len(fn)
+    if not fn or fn[0] != "λ":
+        raise MachineRError("Functional does not start with an abstraction")
+    state.op_count += 1
+    state.counter[:] = ["0"]
+    state.op_count += 1
+    sr = state.stack_redex
+    pos = 1
+    while pos < n:
+        sym = state.read(fn, pos)
+        if sym == "λ":
+            state.write(state.reduct, sym)
+            state.push(sr, A_LAM)
+            ref_counter_inc(state)
+            pos += 1
+        elif sym == "@":
+            state.write(state.reduct, sym)
+            state.push(sr, F_APP)
+            pos += 1
+        elif sym == "▶":
+            dstart = pos + 1
+            dend = dstart
+            while dend < n and fn[dend] in "01":
+                dend += 1
+            digits = "".join(fn[dstart:dend])
+            state.op_count += dend - dstart
+            if ref_counter_equals(state, digits):
+                state.reduct.extend(state.argument)
+                state.op_count += 2 * len(state.argument)
+            else:
+                state.write(state.reduct, "▶")
+                for d in digits:
+                    state.write(state.reduct, d)
+            pos = dend
+            for _ in range(_close(state, sr)):
+                ref_counter_dec(state)
+        else:
+            raise MachineRError(f"unexpected symbol {sym!r} on Functional")
+    return state
+
+
+def ref_find_redex_pass(state, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(machine_r, "_copy_subterm", ref_copy_subterm)
+        return find_redex_pass(state)
+
+
+def tapes(state):
+    return (state.current, state.preredex, state.functional, state.argument,
+            state.postredex, state.reduct, state.stack_term, state.stack_redex,
+            state.counter, state.op_count)
+
+
+def run_in_lockstep(theta, monkeypatch, iterations, max_length):
+    """Run the machine and the reference side by side on one string; the
+    tapes and op_count must agree after every pass.  Returns the most
+    abstractions a Functional held below its erased binder."""
+    state = MachineRState(current=list(theta))
+    ref = MachineRState(current=list(theta))
+    most = 0
+    for _ in range(iterations):
+        found = find_redex_pass(state)
+        assert ref_find_redex_pass(ref, monkeypatch) == found
+        assert tapes(state) == tapes(ref)
+        if found == NO_REDEX:
+            break
+        most = max(most, state.functional.count("λ") - 1)
+        substitute_pass(state)
+        ref_substitute_pass(ref)
+        assert tapes(state) == tapes(ref)
+        reassemble_pass(state)
+        reassemble_pass(ref)
+        assert tapes(state) == tapes(ref)
+        if len(state.current) > max_length:
+            break
+    return most
+
+
+def test_closed_form_charges_match_the_reference_on_random_terms(monkeypatch):
+    rng = random.Random(5)
+    for i in range(3000):
+        t = random_closed_term(rng, rng.choice((8, 14, 20, 28)))
+        if i % 3 == 0:
+            t = App(t, FreeVar("c"))  # a bare ▶: an index with no digits
+        run_in_lockstep(encode_theta(t), monkeypatch, iterations=25, max_length=400)
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_closed_form_charges_match_the_reference_under_deep_binders(k, monkeypatch):
+    # \x.\a1...\ak. x ak ... a1 nests k binders under the erased one, so the
+    # counter counts up to k and back: carries and borrows cross 8, 16, 32.
+    # Every Functional of this family nests all its abstractions.
+    binders = "".join(f"\\a{i}." for i in range(1, k + 1))
+    body = " ".join(f"a{i}" for i in range(k, 0, -1))
+    t = parse_term(f"(\\x.{binders} x {body}) (\\y.y) (\\u.\\v.u)")
+    assert run_in_lockstep(encode_theta(t), monkeypatch, 10, 10_000) == k
+
+
+def test_copy_subterm_matches_the_reference_at_every_start():
+    rng = random.Random(8)
+    for _ in range(300):
+        theta = encode_theta(random_closed_term(rng, 24))
+        for start, sym in enumerate(theta):
+            if sym in "01":
+                continue
+            state = MachineRState(current=list(theta))
+            ref = MachineRState(current=list(theta))
+            assert _copy_subterm(state, start, state.functional) == \
+                ref_copy_subterm(ref, start, ref.functional)
+            assert tapes(state) == tapes(ref)
+
+
+@pytest.mark.parametrize("current, message", [
+    ("λ@▶0", "truncated subterm"),
+    ("@λ@λ▶0", "truncated subterm"),
+    ("λ0▶0", "unexpected symbol '0'"),
+    ("λ@▶0x", "unexpected symbol 'x'"),
+])
+def test_copy_subterm_errors(current, message, monkeypatch):
+    with pytest.raises(MachineRError, match=message):
+        find_redex_pass(MachineRState(current=list(current)))
+    with pytest.raises(MachineRError, match=message):
+        ref_find_redex_pass(MachineRState(current=list(current)), monkeypatch)
+
+
+@pytest.mark.parametrize("functional, stack, message", [
+    # an abstraction frame the counter never counted: closing it underflows
+    ("λ▶0", [A_LAM], "depth counter underflow"),
+    ("λλ▶0", [F_APP, A_LAM, A_LAM], "depth counter underflow"),
+    ("λ@x", [], "unexpected symbol 'x' on Functional"),
+    ("@λ▶0", [], "does not start with an abstraction"),
+])
+def test_substitute_pass_errors(functional, stack, message):
+    for substitute in (substitute_pass, ref_substitute_pass):
+        state = MachineRState(current=[], functional=list(functional),
+                              argument=list("λ▶0"), stack_redex=list(stack))
+        with pytest.raises(MachineRError, match=message):
+            substitute(state)

@@ -80,6 +80,14 @@ def test_normalize_divergent_exhausts_fuel():
     assert o.time() is None
 
 
+def test_normal_form_reached_with_the_last_unit_of_fuel():
+    for strategy in ("leftmost", "rightmost", "random"):
+        o = normalize(parse_term(r"(\x.x)(\y.y)"), strategy, fuel=1)
+        assert o.normalized and o.steps == 1 and o.time() == 6
+    o = normalize(parse_term(r"(\x.x)((\x.x)(\y.y))"), "leftmost", fuel=1)
+    assert not o.normalized and o.steps == 1 and o.time() is None
+
+
 def test_strategies_agree_on_growth_term():
     left = normalize(growth_term(3), "leftmost")
     right = normalize(growth_term(3), "rightmost")
