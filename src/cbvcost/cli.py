@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: normalize, run-tm, compile-tm, machine-r, encode, bench.
-Exit codes: 0 success, 1 malformed input, usage error or failed suite
-assertion, 2 fuel exhausted, 3 cross-check mismatch.  All randomness is
-drawn from --seed, so outputs (including CSV files) are byte-identical
-across runs.
+Exit codes: 0 success, 1 malformed input (including a machine file that
+cannot be read or is not UTF-8, and an `--out` that cannot be written),
+usage error or failed suite assertion, 2 fuel exhausted, 3 cross-check
+mismatch.  Each command runs straight through; `main` alone maps the
+exceptions in `_EXIT_CODES` to codes, and any other exception is a bug
+and propagates.  All randomness is drawn from --seed, so outputs
+(including CSV files) are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,41 +18,51 @@ import re
 import sys
 
 from . import bench
-from .encodings import Alphabet, NotAStringEncoding, UnknownSymbolError, church_numeral, encode_string
+from .encodings import Alphabet, church_numeral, encode_string
 from .machine_r import MachineRError, mr_normalize
 from .reduction import STRATEGIES, normalize, write_trace_csv
-from .terms import ParseError, TermError, free_names, parse_term, print_term
-from .theta import MalformedThetaError, encode_theta, theta_to_ascii
+from .terms import TermError, free_names, parse_term, print_term
+from .theta import encode_theta, theta_to_ascii
 from .turing import FuelExhausted, OracleMismatchError, TMDefinitionError, TMParseError, parse_tm, run_compiled, simulate_tm
 
 OK, BAD_INPUT, OUT_OF_FUEL, MISMATCH = 0, 1, 2, 3
 
+# the one failure policy: `main` exits with the code of the nearest class
+_EXIT_CODES = {
+    FuelExhausted: OUT_OF_FUEL,
+    OracleMismatchError: MISMATCH,
+    TermError: BAD_INPUT,
+    MachineRError: BAD_INPUT,
+    TMParseError: BAD_INPUT,
+    TMDefinitionError: BAD_INPUT,
+    OSError: BAD_INPUT,           # unreadable machine file, unwritable --out
+    ValueError: BAD_INPUT,        # includes UnicodeDecodeError
+    RuntimeError: BAD_INPUT,      # corpus builder, suite measurement
+}
+
 _THETA_RE = re.compile(r"^[L@*01λ▶]+$")
 
-# `normalize` prints a normal form larger than this many nodes as its size
+# a printed term or string notation longer than this is shown as its size
 PRINT_LIMIT = 10_000
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _capped(size: int, unit: str, render) -> str:
+    """render(), or just the size when it is more than PRINT_LIMIT."""
+    if size > PRINT_LIMIT:
+        return f"{size} {unit}, not printed (more than {PRINT_LIMIT})"
+    return render()
 
 
 def cmd_normalize(args) -> int:
-    try:
-        term = parse_term(args.term)
-    except ParseError as e:
-        return _fail(str(e), BAD_INPUT)
+    term = parse_term(args.term)
     outcome = normalize(term, args.strategy, args.fuel, args.seed)
     if not outcome.normalized:
         print(f"no normal form within {args.fuel} steps")
         print(f"steps: {outcome.steps}")
         print(f"cost: {outcome.trace.total_cost}")
         return OUT_OF_FUEL
-    if outcome.term.size > PRINT_LIMIT:
-        print(f"normal form: {outcome.term.size} nodes, not printed (more than {PRINT_LIMIT})")
-    else:
-        print(f"normal form: {print_term(outcome.term)}")
+    nf = outcome.term
+    print(f"normal form: {_capped(nf.size, 'nodes', lambda: print_term(nf))}")
     print(f"steps: {outcome.steps}")
     print(f"cost: {outcome.trace.total_cost}")
     print(f"time: {outcome.time()}")
@@ -66,11 +79,7 @@ def _load_machine(path: str):
 
 
 def cmd_run_tm(args) -> int:
-    try:
-        machine = _load_machine(args.machine)
-        run = simulate_tm(machine, args.input, args.fuel)
-    except (OSError, TMParseError, TMDefinitionError) as e:
-        return _fail(str(e), BAD_INPUT)
+    run = simulate_tm(_load_machine(args.machine), args.input, args.fuel)
     if not run.halted:
         print(f"machine did not halt within {args.fuel} steps")
         return OUT_OF_FUEL
@@ -80,18 +89,7 @@ def cmd_run_tm(args) -> int:
 
 
 def cmd_compile_tm(args) -> int:
-    try:
-        machine = _load_machine(args.machine)
-    except (OSError, TMParseError, TMDefinitionError) as e:
-        return _fail(str(e), BAD_INPUT)
-    try:
-        run = run_compiled(machine, args.input, args.fuel)
-    except (TMDefinitionError, UnknownSymbolError) as e:
-        return _fail(str(e), BAD_INPUT)
-    except FuelExhausted as e:
-        return _fail(str(e), OUT_OF_FUEL)
-    except OracleMismatchError as e:
-        return _fail(str(e), MISMATCH)
+    run = run_compiled(_load_machine(args.machine), args.input, args.fuel)
     print(f"output: {run.output}")
     print(f"lambda cost: {run.lambda_cost}")
     print(f"machine steps: {run.tm_steps}")
@@ -99,25 +97,22 @@ def cmd_compile_tm(args) -> int:
     return OK
 
 
-def _write_report(path: str, report: bench.SuiteReport) -> None:
+def _write_report(path: str, header, rows) -> None:
     with open(path, "w", newline="") as fp:
         writer = csv.writer(fp)
-        writer.writerow(report.header)
-        writer.writerows(report.rows)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_machine_r(args) -> int:
     if args.corpus < 0:
-        return _fail(f"corpus size must not be negative, got {args.corpus}", BAD_INPUT)
+        raise ValueError(f"corpus size must not be negative, got {args.corpus}")
     if args.corpus:
         if args.input:
-            return _fail("--corpus takes no input term", BAD_INPUT)
+            raise ValueError("--corpus takes no input term")
         if args.fuel is not None:
-            return _fail("--corpus takes no --fuel; the suite runs with its own", BAD_INPUT)
-        try:
-            report = bench.suite_machine_r_bounds(args.seed, args.corpus)
-        except RuntimeError as e:
-            return _fail(str(e), BAD_INPUT)
+            raise ValueError("--corpus takes no --fuel; the suite runs with its own")
+        report = bench.suite_machine_r_bounds(args.seed, args.corpus)
         col = report.header.index
         ops = [int(r[col("ops")]) for r in report.rows]
         cs = [float(r[col("max_c_iter")]) for r in report.rows]
@@ -125,7 +120,7 @@ def cmd_machine_r(args) -> int:
         print(f"max ops: {max(ops)}")
         print(f"max per-iteration constant: {max(cs):.4f}")
         if args.out:
-            _write_report(args.out, report)
+            _write_report(args.out, report.header, report.rows)
             print(f"suite CSV written to {args.out}")
         for failure in report.failures:
             print(f"violation: {failure}", file=sys.stderr)
@@ -133,67 +128,54 @@ def cmd_machine_r(args) -> int:
     fuel = 100_000 if args.fuel is None else args.fuel
     text = args.input
     cross_check = None
-    try:
-        if _THETA_RE.match(text):
-            theta = text
-        else:
-            term = parse_term(text)
-            if len(free_names(term)) > 1:
-                print("warning: several distinct free variables; the encoding "
-                      "erases their identity", file=sys.stderr)
-            theta = encode_theta(term)
-            cross_check = term
-    except ParseError as e:
-        return _fail(str(e), BAD_INPUT)
-    try:
-        result = mr_normalize(theta, fuel)
-    except (MalformedThetaError, MachineRError) as e:
-        return _fail(str(e), BAD_INPUT)
+    if _THETA_RE.match(text):
+        theta = text
+    else:
+        term = parse_term(text)
+        if len(free_names(term)) > 1:
+            print("warning: several distinct free variables; the encoding "
+                  "erases their identity", file=sys.stderr)
+        theta = encode_theta(term)
+        cross_check = term
+    result = mr_normalize(theta, fuel)
     if not result.normalized:
         print(f"no normal form within {fuel} iterations")
         return OUT_OF_FUEL
-    print(f"output: {theta_to_ascii(result.theta)}")
+    out = result.theta
+    print(f"output: {_capped(len(out), 'symbols', lambda: theta_to_ascii(out))}")
     print(f"iterations: {len(result.iterations)}")
     print(f"tape operations: {result.op_count}")
     if args.out:
-        with open(args.out, "w", newline="") as fp:
-            writer = csv.writer(fp)
-            writer.writerow(["iteration", "tl_before", "tl_after", "ops"])
-            for i, it in enumerate(result.iterations, 1):
-                writer.writerow([i, it.tl_before, it.tl_after, it.ops])
+        _write_report(args.out, ["iteration", "tl_before", "tl_after", "ops"],
+                      [(i, it.tl_before, it.tl_after, it.ops)
+                       for i, it in enumerate(result.iterations, 1)])
         print(f"iteration log written to {args.out}")
     if cross_check is not None:
         engine = normalize(cross_check, "leftmost", max(fuel * 4, 1000))
         if not bench.agrees_with_engine(result, engine):
-            return _fail("tape machine and reduction engine disagree", MISMATCH)
+            raise OracleMismatchError("tape machine and reduction engine disagree")
         print("engine cross-check: ok")
     return OK
 
 
 def cmd_encode(args) -> int:
-    try:
-        if args.church is not None:
-            term = church_numeral(args.church)
-        elif args.scott is not None:
-            alphabet = Alphabet(args.alphabet.split(","))
-            term = encode_string(alphabet, args.scott)
-        else:
-            term = parse_term(args.theta)
-            print(theta_to_ascii(encode_theta(term)))
-            return OK
-    except (ValueError, ParseError, UnknownSymbolError) as e:
-        return _fail(str(e), BAD_INPUT)
-    print(print_term(term))
+    if args.theta is not None:
+        print(theta_to_ascii(encode_theta(parse_term(args.theta))))
+        return OK
+    if args.church is not None:
+        n = args.church
+        # church_numeral(n) has 2n + 3 nodes: size it before building it
+        print(_capped(2 * n + 3, "nodes", lambda: print_term(church_numeral(n))))
+        return OK
+    term = encode_string(Alphabet(args.alphabet.split(",")), args.scott)
+    print(_capped(term.size, "nodes", lambda: print_term(term)))
     return OK
 
 
 def cmd_bench(args) -> int:
-    try:
-        report = bench.run_suite(args.suite, args.seed)
-    except RuntimeError as e:
-        return _fail(str(e), BAD_INPUT)
+    report = bench.run_suite(args.suite, args.seed)
     out = args.out or f"bench_{args.suite.lower()}.csv"
-    _write_report(out, report)
+    _write_report(out, report.header, report.rows)
     print(f"{len(report.rows)} rows written to {out}")
     if report.failures:
         for failure in report.failures:
@@ -269,12 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "fuel", None) is not None and args.fuel <= 0:
-        return _fail(f"fuel must be positive, got {args.fuel}", BAD_INPUT)
     try:
+        if getattr(args, "fuel", None) is not None and args.fuel <= 0:
+            raise ValueError(f"fuel must be positive, got {args.fuel}")
         return args.func(args)
-    except (TermError, NotAStringEncoding) as e:
-        return _fail(str(e), BAD_INPUT)
+    except tuple(_EXIT_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ class FuelExhausted(Exception):
 
 
 class OracleMismatchError(Exception):
-    """Compiled run and native simulator disagree: a compiler bug."""
+    """A result disagrees with its independent oracle: a bug."""
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,19 @@
+import contextlib
 import hashlib
+import io
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import terms
 
 from cbvcost import bench
-from cbvcost.cli import main
+from cbvcost.cli import PRINT_LIMIT, main
+from cbvcost.encodings import church_numeral
+from cbvcost.terms import print_term
+from cbvcost.theta import encode_theta, theta_to_ascii
 from cbvcost.turing import EVEN_PALINDROME_SPEC, FLIP_SPEC
 
 
@@ -269,3 +278,160 @@ def test_bench_csv_golden_digest(suite, tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["bench", suite, "--seed", "42", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_CSV_SHA256[suite]
+
+
+BLANK_ONLY_SPEC = """\
+alphabet: _
+blank: _
+states: q0 qf
+initial: q0
+final: qf
+delta: q0 _ -> qf _ S
+"""
+
+
+@pytest.fixture
+def blank_only_path(tmp_path):
+    path = tmp_path / "blank.tm"
+    path.write_text(BLANK_ONLY_SPEC)
+    return str(path)
+
+
+@pytest.fixture
+def not_utf8_path(tmp_path):
+    path = tmp_path / "latin.tm"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["compile-tm", "{blank}", ""], id="compile-tm-empty-io-alphabet"),
+    pytest.param(["run-tm", "{latin}", "0"], id="run-tm-not-utf8"),
+    pytest.param(["compile-tm", "{latin}", "0"], id="compile-tm-not-utf8"),
+    pytest.param(["normalize", r"(\x.x)(\y.y)", "--out", "{missing}"], id="normalize-out"),
+    pytest.param(["machine-r", "@L*0L*0", "--out", "{missing}"], id="machine-r-out"),
+    pytest.param(["machine-r", "--corpus", "2", "--out", "{missing}"], id="machine-r-corpus-out"),
+    pytest.param(["bench", "PcaCosts", "--out", "{missing}"], id="bench-out"),
+])
+def test_unreadable_or_unwritable_files_are_malformed_input(
+        argv, blank_only_path, not_utf8_path, tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    argv = [a.format(blank=blank_only_path, latin=not_utf8_path, missing=missing)
+            for a in argv]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
+def test_encode_huge_church_numeral_prints_its_size(capsys):
+    # 2 * 10^9 + 3 nodes: printed as a size without building the term
+    assert main(["encode", "--church", str(10 ** 9)]) == 0
+    out = capsys.readouterr().out
+    assert len(out) < 1024
+    assert out == f"{2 * 10 ** 9 + 3} nodes, not printed (more than {PRINT_LIMIT})\n"
+
+
+def test_encode_church_numeral_at_the_print_limit(capsys):
+    # the CLI sizes a numeral in closed form before it builds one
+    for k in (0, 1, 17):
+        assert church_numeral(k).size == 2 * k + 3
+    n = (PRINT_LIMIT - 3) // 2
+    assert church_numeral(n).size <= PRINT_LIMIT < church_numeral(n + 1).size
+    assert main(["encode", "--church", str(n)]) == 0
+    assert capsys.readouterr().out.count("x0") == n + 1  # the binder and n uses
+    assert main(["encode", "--church", str(n + 1)]) == 0
+    assert "nodes, not printed" in capsys.readouterr().out
+
+
+def test_machine_r_prints_the_size_of_a_huge_output(capsys):
+    # D = \x.\k.k x x nested 13 deep: 212 input characters whose normal form
+    # is 65,531 symbols long in string notation
+    term = r"\z.z"
+    for _ in range(13):
+        term = rf"(\x.\k.k x x) ({term})"
+    assert main(["machine-r", term]) == 0
+    out = capsys.readouterr().out
+    assert len(out) < 1024
+    lines = out.splitlines()
+    assert lines[0].startswith("output: ") and lines[0].endswith(
+        f"symbols, not printed (more than {PRINT_LIMIT})")
+    # both recorded before the output was capped
+    assert "iterations: 13" in lines
+    assert "tape operations: 1383672" in lines
+    assert "engine cross-check: ok" in lines
+
+
+# --- fuzzing main ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def machine_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("machines")
+    paths = {"missing": str(root / "missing.tm")}
+    for name, spec in [("flip", FLIP_SPEC), ("palindrome", EVEN_PALINDROME_SPEC),
+                       ("blank", BLANK_ONLY_SPEC)]:
+        (root / f"{name}.tm").write_text(spec)
+        paths[name] = str(root / f"{name}.tm")
+    (root / "latin.tm").write_bytes(b"\xff\xfe")
+    paths["latin"] = str(root / "latin.tm")
+    paths["out"] = str(root / "out.csv")
+    paths["missing_dir"] = str(root / "missing" / "out.csv")
+    return paths
+
+
+_term_texts = st.one_of(
+    st.text(alphabet="\\λ.() xyz", max_size=30),
+    terms(max_size=10).map(lambda t: print_term(t)[:30]),
+)
+_theta_texts = st.one_of(
+    st.text(alphabet="L@*01λ▶", max_size=30),
+    terms(max_size=10).map(lambda t: theta_to_ascii(encode_theta(t))[:30]),
+)
+
+
+@st.composite
+def _argv(draw, paths):
+    def option(name, values):
+        return [name, str(draw(values))] if draw(st.booleans()) else []
+
+    fuel = ["--fuel", str(draw(st.integers(-2, 100)))]
+    seed = option("--seed", st.integers(-5, 10 ** 6))
+    out = option("--out", st.sampled_from([paths["out"], paths["missing_dir"]]))
+    command = draw(st.sampled_from(["normalize", "run-tm", "compile-tm", "machine-r", "encode"]))
+    if command == "normalize":
+        argv = [draw(_term_texts)] + fuel + seed + out + option(
+            "--strategy", st.sampled_from(["leftmost", "rightmost", "random"]))
+    elif command in ("run-tm", "compile-tm"):
+        machine = paths[draw(st.sampled_from(["flip", "palindrome", "blank", "latin", "missing"]))]
+        argv = [machine, draw(st.text(alphabet="01_a", max_size=8))] + fuel
+    elif command == "machine-r":
+        corpus = draw(st.integers(-1, 2))
+        text = [draw(st.one_of(_term_texts, _theta_texts))]
+        if corpus:
+            # the suite runs with its own fuel; an input or --fuel is rejected
+            argv = ["--corpus", str(corpus)] + draw(st.sampled_from([[], text, fuel]))
+        else:
+            argv = text + fuel
+        argv += seed + out
+    else:
+        kind = draw(st.sampled_from(["--church", "--scott", "--theta"]))
+        value = draw({"--church": st.integers(-10, 10 ** 12).map(str),
+                      "--scott": st.text(alphabet="ab01", max_size=10),
+                      "--theta": _term_texts}[kind])
+        argv = [kind, value] + option("--alphabet", st.text(alphabet="ab,_", max_size=6))
+    # now and then an option the subcommand does not take: a usage error
+    argv += draw(st.sampled_from([[]] * 9 + [["--church", "1"], ["--corpus", "1"], ["--bogus"]]))
+    return [command] + argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_main_is_total(machine_paths, data):
+    argv = data.draw(_argv(machine_paths))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
+    assert len(stdout.getvalue().encode()) < 256 * 1024, argv
