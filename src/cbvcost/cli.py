@@ -75,7 +75,11 @@ def cmd_normalize(args) -> int:
 
 def _load_machine(path: str):
     with open(path, encoding="utf-8") as fp:
-        return parse_tm(fp.read())
+        try:
+            text = fp.read()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
+    return parse_tm(text)
 
 
 def cmd_run_tm(args) -> int:
@@ -173,7 +177,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = bench.run_suite(args.suite, args.seed)
+    report = bench.SUITES[args.suite](args.seed)
     out = args.out or f"bench_{args.suite.lower()}.csv"
     _write_report(out, report.header, report.rows)
     print(f"{len(report.rows)} rows written to {out}")

@@ -82,16 +82,27 @@ def encode_symbol(a: Alphabet, s: str) -> Term:
 def encode_string(a: Alphabet, u: Sequence[str] | str) -> Term:
     """Scott string over `a`; size is affine in len(u) for a fixed alphabet."""
     syms = _symbols_of(a, u)
-    n = len(a)
     t: Term = BoundVar(0)          # empty string: \x1...\xn.\y.y
-    for _ in range(n + 1):
+    for _ in range(len(a) + 1):
         t = Abs(t)
     for s in reversed(syms):
-        body = App(BoundVar(n - a.index(s)), t)
-        for _ in range(n + 1):
-            body = Abs(body)
-        t = body
+        t = _cons(a, s, t)
     return t
+
+
+def _cons(a: Alphabet, s: str, tail: Term) -> Term:
+    """The cons cell \\x1...\\xn.\\y.xi tail, with `s` the i-th symbol of `a`;
+    `tail` goes under the binders unshifted, so it must be well scoped."""
+    n = len(a)
+    t: Term = App(BoundVar(n - a.index(s)), tail)
+    for _ in range(n + 1):
+        t = Abs(t)
+    return t
+
+
+def tuple_of(*parts: Term) -> Term:
+    """\\x.x p1 ... pk; the parts must be well scoped, their free names stay free."""
+    return Abs(ap(BoundVar(0), *parts))
 
 
 def decode_string(a: Alphabet, t: Term) -> str:
@@ -131,18 +142,8 @@ def fixpoint_h() -> Term:
     Not itself a value: the outer application is a redex, and two steps take
     H N to N (\\z.H N z) for any closed value N.
     """
-    m = lam("x", lam("f", ap(fv("f"), lam("z", ap(fv("x"), fv("x"), fv("f"), fv("z"))))))
+    m = lam("x", "f", ap(fv("f"), lam("z", ap(fv("x"), fv("x"), fv("f"), fv("z")))))
     return App(m, m)
-
-
-def _selector_names(n: int) -> list[str]:
-    return [f"s{j}" for j in range(1, n + 1)]
-
-
-def _nest(names: Sequence[str], body: Term) -> Term:
-    for name in reversed(names):
-        body = lam(name, body)
-    return body
 
 
 APPEND_KINDS = ("char", "string", "reverse")
@@ -157,33 +158,20 @@ def build_append(a: Alphabet, kind: str) -> Term:
              and independent of the second.
     reverse: maps (u, v) to reverse(u) ++ v, same weight shape as string.
     """
-    n = len(a)
-    sels = _selector_names(n)
     if kind == "char":
-        ms = [
-            lam("y", _nest(sels + ["w"], ap(fv(f"s{i}"), fv("y"))))
-            for i in range(1, n + 1)
-        ]
-        return lam("x", lam("y", ap(fv("x"), *ms, fv("y"))))
+        ms = [lam("y", _cons(a, s, fv("y"))) for s in a]
+        return lam("x", "y", ap(fv("x"), *ms, fv("y")))
     if kind == "string":
         cells = [
-            lam("w", lam("k", ap(
-                lam("h", _nest(sels + ["g"], ap(fv(f"s{i}"), fv("h")))),
-                ap(fv("x"), fv("w"), fv("k")))))
-            for i in range(1, n + 1)
+            lam("w", "k", ap(lam("h", _cons(a, s, fv("h"))), ap(fv("x"), fv("w"), fv("k"))))
+            for s in a
         ]
-        worker = lam("x", lam("y", lam("z", ap(fv("y"), *cells, lam("w", fv("w")), fv("z")))))
-        return App(fixpoint_h(), worker)
-    if kind == "reverse":
-        cells = [
-            lam("w", lam("k", ap(
-                fv("x"), fv("w"),
-                _nest(sels + ["h"], ap(fv(f"s{i}"), fv("k"))))))
-            for i in range(1, n + 1)
-        ]
-        worker = lam("x", lam("y", lam("z", ap(fv("y"), *cells, lam("w", fv("w")), fv("z")))))
-        return App(fixpoint_h(), worker)
-    raise ValueError(f"kind must be one of {APPEND_KINDS}")
+    elif kind == "reverse":
+        cells = [lam("w", "k", ap(fv("x"), fv("w"), _cons(a, s, fv("k")))) for s in a]
+    else:
+        raise ValueError(f"kind must be one of {APPEND_KINDS}")
+    worker = lam("x", "y", "z", ap(fv("y"), *cells, lam("w", fv("w")), fv("z")))
+    return App(fixpoint_h(), worker)
 
 
 def build_convert(src: Alphabet, dst: Alphabet, kind: str) -> Term:
@@ -199,15 +187,13 @@ def build_convert(src: Alphabet, dst: Alphabet, kind: str) -> Term:
         ]
         return lam("x", ap(fv("x"), *ms))
     if kind == "string":
-        dsels = _selector_names(len(dst))
         cells = []
         for s in src:
             if s in dst:
-                j = dst.index(s) + 1
-                cons = lam("w", _nest(dsels + ["h"], ap(fv(f"s{j}"), fv("w"))))
+                cons = lam("w", _cons(dst, s, fv("w")))
                 cells.append(lam("z", ap(cons, ap(fv("x"), fv("z")))))
             else:
                 cells.append(lam("z", ap(fv("x"), fv("z"))))
-        worker = lam("x", lam("y", ap(fv("y"), *cells, encode_string(dst, ()))))
+        worker = lam("x", "y", ap(fv("y"), *cells, encode_string(dst, ())))
         return App(fixpoint_h(), worker)
     raise ValueError(f"kind must be one of {CONVERT_KINDS}")

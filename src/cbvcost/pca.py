@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .encodings import tuple_of
 from .reduction import LEFTMOST, normalize
-from .terms import App, Term, is_closed, parse_term
+from .terms import Abs, App, BoundVar, Term, is_closed, parse_term
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,11 @@ def build_combinator(name: str) -> XiValue:
 
 def pair(v: XiValue, u: XiValue) -> XiValue:
     """\\x.x V U, always a value."""
-    from .terms import Abs, BoundVar
-    return XiValue(Abs(App(App(BoundVar(0), v.term), u.term)))
+    return XiValue(tuple_of(v.term, u.term))
 
 
 def unpair(p: XiValue) -> tuple[XiValue, XiValue]:
     """Inverse of pair, for checking results; raises ValueError otherwise."""
-    from .terms import Abs, BoundVar
     t = p.term
     if (type(t) is Abs and type(t.body) is App and type(t.body.fun) is App
             and type(t.body.fun.fun) is BoundVar and t.body.fun.fun.index == 0):

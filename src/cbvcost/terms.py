@@ -37,10 +37,12 @@ class Term:
     is_value = False
 
     def __eq__(self, other):
+        """Structural equality in time linear in the shared DAGs."""
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
+        seen: set[tuple[int, int]] = set()
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
@@ -54,16 +56,15 @@ class Term:
             elif type(a) is FreeVar:
                 if a.name != b.name:
                     return False
-            elif type(a) is Abs:
-                stack.append((a.body, b.body))
-            else:
-                stack.append((a.fun, b.fun))
-                stack.append((a.arg, b.arg))
+            # a pair met before is already compared or still on the stack
+            elif (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                if type(a) is Abs:
+                    stack.append((a.body, b.body))
+                else:
+                    stack.append((a.fun, b.fun))
+                    stack.append((a.arg, b.arg))
         return True
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self):
         return self._hash
@@ -223,13 +224,16 @@ def ap(fun: Term, *args: Term) -> Term:
     return t
 
 
-def lam(name: str, body: Term) -> Term:
-    """Bind every free occurrence of `name` in `body` under a new abstraction.
+def lam(*names_and_body) -> Term:
+    """Bind the free occurrences of each name in the body, outermost first.
 
-    Building bottom-up gives ordinary shadowing: occurrences captured by an
-    inner `lam` of the same name are already indices by the time the outer
-    one runs.
+    `lam("x", "y", body)` binds `x` outside `y`: the term that nesting
+    single-name calls gives, built in one walk.  A name listed twice binds
+    at its innermost position, the ordinary shadowing of nested binders.
     """
+    *names, body = names_and_body
+    # how many of the new binders lie inside each name's own
+    inner = {name: len(names) - 1 - i for i, name in enumerate(names)}
     out: list[Term] = []
     stack: list[tuple[Term, int, bool]] = [(body, 0, False)]
     while stack:
@@ -245,7 +249,7 @@ def lam(name: str, body: Term) -> Term:
         if not node.has_free:
             out.append(node)
         elif type(node) is FreeVar:
-            out.append(BoundVar(depth) if node.name == name else node)
+            out.append(BoundVar(depth + inner[node.name]) if node.name in inner else node)
         elif type(node) is Abs:
             stack.append((node, depth, True))
             stack.append((node.body, depth + 1, False))
@@ -253,7 +257,10 @@ def lam(name: str, body: Term) -> Term:
             stack.append((node, depth, True))
             stack.append((node.arg, depth, False))
             stack.append((node.fun, depth, False))
-    return Abs(out[0])
+    t = out[0]
+    for _ in names:
+        t = Abs(t)
+    return t
 
 
 # --- parsing ----------------------------------------------------------------

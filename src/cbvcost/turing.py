@@ -24,6 +24,7 @@ from .encodings import (
     encode_string,
     encode_symbol,
     fixpoint_h,
+    tuple_of,
 )
 from .reduction import LEFTMOST, normalize
 from .terms import App, Term, ap, fv, lam
@@ -204,7 +205,7 @@ def simulate_tm(m: TuringMachine, u: str, fuel: int = 100_000) -> TMRun:
 
 def project(s: str, symbols) -> str:
     """Drop every character not in `symbols` (e.g. blanks outside the IO alphabet)."""
-    keep = set(symbols.symbols) if isinstance(symbols, Alphabet) else set(symbols)
+    keep = set(symbols)
     return "".join(ch for ch in s if ch in keep)
 
 
@@ -214,11 +215,10 @@ def encode_config(m: TuringMachine, c: TMConfig) -> Term:
     """\\x.x <reversed-left> <head> <right> <state>; the left part is stored reversed."""
     sig = Alphabet(m.alphabet)
     stq = Alphabet(m.states)
-    return lam("x", ap(fv("x"),
-                       encode_string(sig, c.left[::-1]),
-                       encode_symbol(sig, c.head),
-                       encode_string(sig, c.right),
-                       encode_symbol(stq, c.state)))
+    return tuple_of(encode_string(sig, c.left[::-1]),
+                    encode_symbol(sig, c.head),
+                    encode_string(sig, c.right),
+                    encode_symbol(stq, c.state))
 
 
 def _check_sub_alphabet(m: TuringMachine, a: Alphabet) -> None:
@@ -241,11 +241,10 @@ def build_init(m: TuringMachine, input_alphabet: Alphabet) -> Term:
     append_char = build_append(sig, "char")
     cells = []
     for s in input_alphabet:
-        update = lam("w", lam("x", ap(fv("x"), fv("u"), encode_symbol(sig, s), fv("w"), fv("q"))))
-        cont = lam("u", lam("a", lam("v", lam("q",
-                   ap(update, ap(append_char, fv("a"), fv("v")))))))
+        update = lam("w", tuple_of(fv("u"), encode_symbol(sig, s), fv("w"), fv("q")))
+        cont = lam("u", "a", "v", "q", ap(update, ap(append_char, fv("a"), fv("v"))))
         cells.append(lam("z", ap(ap(fv("x"), fv("z")), cont)))
-    worker = lam("x", lam("y", ap(fv("y"), *cells, base)))
+    worker = lam("x", "y", ap(fv("y"), *cells, base))
     return App(fixpoint_h(), worker)
 
 
@@ -262,45 +261,37 @@ def build_trans(m: TuringMachine) -> Term:
     eps = encode_string(sig, "")
     blank = encode_symbol(sig, m.blank)
     # continuations dispatching on the stored (reversed) left string
-    lefts = [lam("u", lam("v", lam("q", lam("x",
-              ap(fv("x"), fv("u"), encode_symbol(sig, s), fv("v"), fv("q"))))))
+    lefts = [lam("u", "v", "q", tuple_of(fv("u"), encode_symbol(sig, s), fv("v"), fv("q")))
              for s in m.alphabet]
-    left_empty = lam("v", lam("q", lam("x", ap(fv("x"), eps, blank, fv("v"), fv("q")))))
+    left_empty = lam("v", "q", tuple_of(eps, blank, fv("v"), fv("q")))
     # continuations dispatching on the right string
-    rights = [lam("v", lam("u", lam("q", lam("x",
-               ap(fv("x"), fv("u"), encode_symbol(sig, s), fv("v"), fv("q"))))))
+    rights = [lam("v", "u", "q", tuple_of(fv("u"), encode_symbol(sig, s), fv("v"), fv("q")))
               for s in m.alphabet]
-    right_empty = lam("u", lam("q", lam("x", ap(fv("x"), fv("u"), blank, eps, fv("q")))))
+    right_empty = lam("u", "q", tuple_of(fv("u"), blank, eps, fv("q")))
 
     rows = []
     for qi in m.states:
         branches = []
         for aj in m.alphabet:
             if qi == m.final:
-                branch = lam("u", lam("v", lam("x",
-                          ap(fv("x"), fv("u"), encode_symbol(sig, aj), fv("v"),
-                             encode_symbol(stq, qi)))))
+                branch = lam("u", "v", tuple_of(fv("u"), encode_symbol(sig, aj), fv("v"),
+                                                encode_symbol(stq, qi)))
             else:
                 ql, ak, move = m.delta[(qi, aj)]
                 written = encode_symbol(sig, ak)
                 target = encode_symbol(stq, ql)
                 if move == "S":
-                    branch = lam("u", lam("v", ap(fv("x"),
-                              lam("z", ap(fv("z"), fv("u"), written, fv("v"), target)))))
+                    branch = lam("u", "v", ap(fv("x"), tuple_of(fv("u"), written, fv("v"), target)))
                 elif move == "L":
-                    branch = lam("u", lam("v", ap(fv("x"),
-                              ap(fv("u"), *lefts, left_empty,
-                                 ap(append_char, written, fv("v")), target))))
+                    branch = lam("u", "v", ap(fv("x"), ap(fv("u"), *lefts, left_empty,
+                                                          ap(append_char, written, fv("v")), target)))
                 else:
-                    branch = lam("u", lam("v", ap(fv("x"),
-                              ap(fv("v"), *rights, right_empty,
-                                 ap(append_char, written, fv("u")), target))))
+                    branch = lam("u", "v", ap(fv("x"), ap(fv("v"), *rights, right_empty,
+                                                          ap(append_char, written, fv("u")), target)))
             branches.append(branch)
-        rows.append(lam("u", lam("a", lam("v",
-                    ap(fv("a"), *branches, fv("u"), fv("v"))))))
-    core = lam("u", lam("a", lam("v", lam("q",
-               ap(fv("q"), *rows, fv("u"), fv("a"), fv("v"))))))
-    worker = lam("x", lam("y", ap(fv("y"), core)))
+        rows.append(lam("u", "a", "v", ap(fv("a"), *branches, fv("u"), fv("v"))))
+    core = lam("u", "a", "v", "q", ap(fv("q"), *rows, fv("u"), fv("a"), fv("v")))
+    worker = lam("x", "y", ap(fv("y"), core))
     return App(fixpoint_h(), worker)
 
 
@@ -316,10 +307,10 @@ def build_final(m: TuringMachine, output_alphabet: Alphabet) -> Term:
     append_str = build_append(output_alphabet, "string")
     conv_str = build_convert(sig, output_alphabet, "string")
     conv_char = build_convert(sig, output_alphabet, "char")
-    body = lam("u", lam("a", lam("v", lam("q",
-           ap(append_rev,
-              ap(conv_str, fv("u")),
-              ap(append_str, ap(conv_char, fv("a")), ap(conv_str, fv("v"))))))))
+    body = lam("u", "a", "v", "q",
+               ap(append_rev,
+                  ap(conv_str, fv("u")),
+                  ap(append_str, ap(conv_char, fv("a")), ap(conv_str, fv("v")))))
     return lam("x", ap(fv("x"), body))
 
 

@@ -73,3 +73,11 @@ def test_seeded_corpora_unchanged():
     doubled = bench.make_normalizing_corpus(43, 60, 24, 13)
     blob = "\n".join(encode_theta(t) for t in base + doubled).encode()
     assert hashlib.sha256(blob).hexdigest() == CORPUS_SHA256
+
+
+def test_machine_r_bounds_with_no_base_iteration_has_no_failures():
+    # at seed 1 no base-scale term iterates, so there is no per-iteration
+    # constant to grow from
+    report = bench.suite_machine_r_bounds(1, 2)
+    assert all(r[3] == 0 for r in report.rows if r[0] == "base")
+    assert report.failures == []

@@ -435,3 +435,17 @@ def test_main_is_total(machine_paths, data):
             code = e.code
     assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
     assert len(stdout.getvalue().encode()) < 256 * 1024, argv
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_machine_r_corpus_without_base_iterations_exits_zero(seed, capsys):
+    assert main(["machine-r", "--corpus", "2", "--seed", seed]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["run-tm", "compile-tm"])
+def test_machine_file_that_is_not_utf8_is_named(command, not_utf8_path, capsys):
+    assert main([command, not_utf8_path, "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {not_utf8_path}: ")
+    assert "can't decode" in err

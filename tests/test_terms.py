@@ -1,10 +1,15 @@
+import contextlib
+import signal
+import sys
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbvcost import (
     Abs, App, BoundVar, FreeVar, ParseError,
     alpha_eq, ap, free_names, fv, is_closed, is_value, is_well_scoped,
-    lam, parse_term, print_term, size, substitute_top,
+    lam, normalize, parse_term, print_term, size, substitute_top,
 )
 
 from conftest import terms
@@ -137,3 +142,79 @@ def test_builders_match_parser():
 def test_parse_print_preserves_scoping(t):
     assert is_well_scoped(t)
     assert is_well_scoped(parse_term(print_term(t)))
+
+
+@settings(max_examples=300)
+@given(terms(), st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=5))
+def test_grouped_lam_equals_nested_lams(body, names):
+    nested = body
+    for name in reversed(names):
+        nested = lam(name, nested)
+    assert lam(*names, body) == nested
+
+
+def test_grouped_lam_binds_a_repeated_name_innermost():
+    assert lam("x", "y", "x", ap(fv("x"), fv("y"))) == parse_term(r"\a.\b.\c.c b")
+
+
+def _doubling_normal_form(depth):
+    """Normal form of D(D(...(D (\\z.z)))) with D = \\x.\\k.k x x: a tree of
+    6 * 2^depth - 4 nodes that shares each argument in memory."""
+    text = r"\z.z"
+    for _ in range(depth):
+        text = rf"(\x.\k.k x x) ({text})"
+    outcome = normalize(parse_term(text), "leftmost", 1000)
+    assert outcome.normalized
+    return outcome.term
+
+
+@contextlib.contextmanager
+def _within_a_second():
+    """Fail, rather than hang, when the body runs for more than a second."""
+    def expire(signum, frame):
+        raise AssertionError("took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_equality_is_linear_in_the_shared_dag():
+    a, b = _doubling_normal_form(60), _doubling_normal_form(60)
+    assert a is not b and a.size == 6 * 2 ** 60 - 4
+    with _within_a_second():
+        assert a == b
+
+
+def _doubled(leaf, depth):
+    t = leaf
+    for _ in range(depth):
+        t = Abs(ap(BoundVar(0), t, t))
+    return t
+
+
+def test_terms_differing_at_one_deep_leaf_are_unequal():
+    # index 0 and the hash modulus hash alike, so neither the cached hash
+    # nor the size tells these apart: the walk has to reach the leaf
+    a = _doubled(BoundVar(0), 60)
+    b = _doubled(BoundVar(sys.hash_info.modulus), 60)
+    assert hash(a) == hash(b) and a.size == b.size
+    with _within_a_second():
+        assert a != b
+        assert not a == b
+        assert _doubled(BoundVar(0), 60) == a
+
+
+def test_a_shared_node_is_compared_with_each_partner():
+    # the right-hand copy of `t` is compared first and matches; the left
+    # one faces a tree that differs at one deep leaf
+    t = _doubled(BoundVar(0), 60)
+    a = App(t, t)
+    b = App(_doubled(BoundVar(sys.hash_info.modulus), 60), _doubled(BoundVar(0), 60))
+    assert hash(a) == hash(b)
+    with _within_a_second():
+        assert a != b
