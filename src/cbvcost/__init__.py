@@ -12,8 +12,8 @@ given explicit seeds.
 from .terms import (
     Abs, App, BoundVar, FreeVar, Term,
     TermError, ParseError, InvalidPositionError,
-    alpha_eq, ap, free_names, fv, is_closed, is_value, is_well_scoped,
-    lam, parse_term, print_term, size, substitute_top,
+    ap, free_names, fv, is_closed, is_value, lam, parse_term, print_term,
+    size, substitute_top,
 )
 from .theta import (
     MalformedThetaError, decode_theta, encode_theta, theta_to_ascii,
@@ -22,8 +22,7 @@ from .theta import (
 from .reduction import (
     ARG, FUN, LEFTMOST, RANDOM, RIGHTMOST, STRATEGIES,
     CostTrace, ReductionOutcome, TraceStep,
-    enumerate_closed_terms, find_redexes, is_redex, normalize,
-    random_closed_term, redex_path, step_at, subterm_at, time_of,
+    is_redex, normalize, random_closed_term, redex_path, step_at, time_of,
     write_trace_csv,
 )
 from .encodings import (
@@ -41,12 +40,11 @@ from .turing import (
 from .machine_r import (
     A_LAM, F_APP, FOUND, NO_REDEX, S_APP,
     IterationStats, MachineRError, MachineRResult, MachineRState,
-    find_redex_pass, mr_normalize, reassemble_pass, stack_update,
-    substitute_pass,
+    find_redex_pass, mr_normalize, reassemble_pass, substitute_pass,
 )
 from .pca import (
     COMBINATOR_NAMES, AppResult, XiValue,
-    apply_in_xi, build_combinator, pair, unpair,
+    apply_in_xi, build_combinator, pair,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Experiment suites behind the bench subcommand.
 
 Every suite is deterministic given its seed, emits sorted CSV rows, and
-returns a list of violated assertions (empty on success).  The reference
-cost constants live here; the test suite pins the same numbers.
+returns a list of violated assertions (empty on success).  PcaCosts checks
+the `id` and `swap` costs against the two reference constants below; the
+tests pin every combinator's costs in tests/golden/costs.json.
 """
 
 from __future__ import annotations
@@ -23,17 +24,7 @@ from .turing import even_palindrome_machine, flip_machine, run_compiled
 # measured once, verified by hand against the unfolding of each combinator;
 # every step substitutes a value for a variable occurring at most once, so
 # each costs exactly 1 and the totals below are step counts
-PCA_REFERENCE_COSTS = {
-    "id": 1,
-    "swap": 4,
-    "assl": 7,
-    "eval_overhead": 4,
-    "tens_stage1": 1,
-    "tens_stage2_overhead": 5,
-    "conc_stage1": 4,
-    "conc_stage2_overhead": 1,
-    "curry_stages": (1, 1, 1),
-}
+PCA_REFERENCE_COSTS = {"id": 1, "swap": 4}
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Subcommands: normalize, run-tm, compile-tm, machine-r, encode, bench.
 Exit codes: 0 success, 1 malformed input (including a machine file that
-cannot be read or is not UTF-8, and an `--out` that cannot be written),
+cannot be read, is not UTF-8 or is malformed, reported with its name, and
+an `--out` that cannot be written),
 usage error or failed suite assertion, 2 fuel exhausted, 3 cross-check
 mismatch.  Each command runs straight through; `main` alone maps the
 exceptions in `_EXIT_CODES` to codes, and any other exception is a bug
@@ -33,11 +34,10 @@ _EXIT_CODES = {
     OracleMismatchError: MISMATCH,
     TermError: BAD_INPUT,
     MachineRError: BAD_INPUT,
-    TMParseError: BAD_INPUT,
     TMDefinitionError: BAD_INPUT,
     OSError: BAD_INPUT,           # unreadable machine file, unwritable --out
-    ValueError: BAD_INPUT,        # includes UnicodeDecodeError
-    RuntimeError: BAD_INPUT,      # corpus builder, suite measurement
+    ValueError: BAD_INPUT,        # includes any fault in a machine file
+    RuntimeError: BAD_INPUT,      # a suite's corpus builder or measurement
 }
 
 _THETA_RE = re.compile(r"^[L@*01λ▶]+$")
@@ -74,12 +74,13 @@ def cmd_normalize(args) -> int:
 
 
 def _load_machine(path: str):
+    """The machine described in file `path`; a fault in the file is
+    reported with its name (a missing file's OSError names it already)."""
     with open(path, encoding="utf-8") as fp:
         try:
-            text = fp.read()
-        except UnicodeDecodeError as e:
+            return parse_tm(fp.read())
+        except (UnicodeDecodeError, TMParseError, TMDefinitionError) as e:
             raise ValueError(f"{path}: {e}") from None
-    return parse_tm(text)
 
 
 def cmd_run_tm(args) -> int:
@@ -109,27 +110,6 @@ def _write_report(path: str, header, rows) -> None:
 
 
 def cmd_machine_r(args) -> int:
-    if args.corpus < 0:
-        raise ValueError(f"corpus size must not be negative, got {args.corpus}")
-    if args.corpus:
-        if args.input:
-            raise ValueError("--corpus takes no input term")
-        if args.fuel is not None:
-            raise ValueError("--corpus takes no --fuel; the suite runs with its own")
-        report = bench.suite_machine_r_bounds(args.seed, args.corpus)
-        col = report.header.index
-        ops = [int(r[col("ops")]) for r in report.rows]
-        cs = [float(r[col("max_c_iter")]) for r in report.rows]
-        print(f"terms: {len(report.rows)}")
-        print(f"max ops: {max(ops)}")
-        print(f"max per-iteration constant: {max(cs):.4f}")
-        if args.out:
-            _write_report(args.out, report.header, report.rows)
-            print(f"suite CSV written to {args.out}")
-        for failure in report.failures:
-            print(f"violation: {failure}", file=sys.stderr)
-        return OK if not report.failures else MISMATCH
-    fuel = 100_000 if args.fuel is None else args.fuel
     text = args.input
     cross_check = None
     if _THETA_RE.match(text):
@@ -141,9 +121,9 @@ def cmd_machine_r(args) -> int:
                   "erases their identity", file=sys.stderr)
         theta = encode_theta(term)
         cross_check = term
-    result = mr_normalize(theta, fuel)
+    result = mr_normalize(theta, args.fuel)
     if not result.normalized:
-        print(f"no normal form within {fuel} iterations")
+        print(f"no normal form within {args.fuel} iterations")
         return OUT_OF_FUEL
     out = result.theta
     print(f"output: {_capped(len(out), 'symbols', lambda: theta_to_ascii(out))}")
@@ -155,7 +135,7 @@ def cmd_machine_r(args) -> int:
                        for i, it in enumerate(result.iterations, 1)])
         print(f"iteration log written to {args.out}")
     if cross_check is not None:
-        engine = normalize(cross_check, "leftmost", max(fuel * 4, 1000))
+        engine = normalize(cross_check, "leftmost", max(args.fuel * 4, 1000))
         if not bench.agrees_with_engine(result, engine):
             raise OracleMismatchError("tape machine and reduction engine disagree")
         print("engine cross-check: ok")
@@ -163,6 +143,8 @@ def cmd_machine_r(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    if args.alphabet is not None and args.scott is None:
+        args.usage_error("--alphabet is read only with --scott")
     if args.theta is not None:
         print(theta_to_ascii(encode_theta(parse_term(args.theta))))
         return OK
@@ -171,7 +153,8 @@ def cmd_encode(args) -> int:
         # church_numeral(n) has 2n + 3 nodes: size it before building it
         print(_capped(2 * n + 3, "nodes", lambda: print_term(church_numeral(n))))
         return OK
-    term = encode_string(Alphabet(args.alphabet.split(",")), args.scott)
+    alphabet = "0,1" if args.alphabet is None else args.alphabet
+    term = encode_string(Alphabet(alphabet.split(",")), args.scott)
     print(_capped(term.size, "nodes", lambda: print_term(term)))
     return OK
 
@@ -225,14 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile_tm)
 
     p = sub.add_parser("machine-r", help="normalize on the nine-tape string machine")
-    p.add_argument("input", nargs="?", default="",
-                   help="surface-syntax term or raw string notation (L for λ, * for ▶)")
-    p.add_argument("--corpus", type=int, default=0, metavar="N",
-                   help="run N seeded random terms and report bound constants")
-    p.add_argument("--fuel", type=int, metavar="N",
-                   help="iteration bound for one term (default 100000); "
-                        "--corpus runs with the suite's own")
-    p.add_argument("--seed", type=int, default=42, metavar="N")
+    p.add_argument("input", help="surface-syntax term or raw string notation (L for λ, * for ▶)")
+    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_machine_r)
 
@@ -241,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--church", type=int, metavar="N")
     group.add_argument("--scott", metavar="TEXT")
     group.add_argument("--theta", metavar="TERM", help="print the string notation of a term")
-    p.add_argument("--alphabet", default="0,1", metavar="A,B,...")
-    p.set_defaults(func=cmd_encode)
+    p.add_argument("--alphabet", metavar="A,B,...", help="the --scott alphabet (default 0,1)")
+    p.set_defaults(func=cmd_encode, usage_error=p.error)
 
     p = sub.add_parser("bench", help="run an experiment suite and write its CSV report")
     p.add_argument("suite", choices=bench.SUITES)
@@ -256,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "fuel", None) is not None and args.fuel <= 0:
+        if getattr(args, "fuel", 1) <= 0:
             raise ValueError(f"fuel must be positive, got {args.fuel}")
         return args.func(args)
     except tuple(_EXIT_CODES) as e:

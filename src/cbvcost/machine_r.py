@@ -41,30 +41,6 @@ class MachineRError(Exception):
     pass
 
 
-def stack_update(stack, symbol: str) -> list[str]:
-    """One scanned symbol applied to a structure stack (pure helper).
-
-    @ pushes F, λ pushes A; ▶ pops S and A until an F is replaced by S or
-    the stack empties; binary digits leave the stack alone.
-    """
-    out = list(stack)
-    if symbol == APP:
-        out.append(F_APP)
-    elif symbol == LAM:
-        out.append(A_LAM)
-    elif symbol == MARK:
-        while out:
-            top = out.pop()
-            if top == F_APP:
-                out.append(S_APP)
-                break
-    elif symbol in ("0", "1"):
-        pass
-    else:
-        raise ValueError(f"not a tape symbol: {symbol!r}")
-    return out
-
-
 @dataclass
 class IterationStats:
     tl_before: int
@@ -101,7 +77,7 @@ class MachineRState:
 
 
 def _close(state: MachineRState, stack: list[str]) -> int:
-    """The counted ▶ case of `stack_update`: pop S and A frames until an F
+    """The counted ▶ on a structure stack: pop S and A frames until an F
     becomes S or the stack empties, one operation per pop and push.
     Returns how many A frames (abstraction bodies) it closed."""
     closed = 0

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .encodings import tuple_of
 from .reduction import LEFTMOST, normalize
-from .terms import Abs, App, BoundVar, Term, is_closed, parse_term
+from .terms import App, Term, is_closed, parse_term
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ def build_combinator(name: str) -> XiValue:
 def pair(v: XiValue, u: XiValue) -> XiValue:
     """\\x.x V U, always a value."""
     return XiValue(tuple_of(v.term, u.term))
-
-
-def unpair(p: XiValue) -> tuple[XiValue, XiValue]:
-    """Inverse of pair, for checking results; raises ValueError otherwise."""
-    t = p.term
-    if (type(t) is Abs and type(t.body) is App and type(t.body.fun) is App
-            and type(t.body.fun.fun) is BoundVar and t.body.fun.fun.index == 0):
-        return XiValue(t.body.fun.arg), XiValue(t.body.arg)
-    raise ValueError("not a pair")
 
 
 def apply_in_xi(u: XiValue, v: XiValue, fuel: int = 100_000) -> Optional[AppResult]:

@@ -29,8 +29,6 @@ RIGHTMOST = "rightmost"
 RANDOM = "random"
 STRATEGIES = (LEFTMOST, RIGHTMOST, RANDOM)
 
-MAX_ENUMERATION_SIZE = 12
-
 Position = tuple[str, ...]
 
 
@@ -73,21 +71,9 @@ def is_redex(t: Term) -> bool:
     return type(t) is App and type(t.fun) is Abs and t.arg.is_value
 
 
-def find_redexes(t: Term) -> list[Position]:
-    """All reducible positions, left to right."""
-    out: list[Position] = []
-    stack: list[tuple[Term, Position]] = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        if node.n_redexes == 0 or type(node) is not App:
-            continue
-        if is_redex(node):
-            out.append(path)
-        stack.append((node.arg, path + (ARG,)))
-        stack.append((node.fun, path + (FUN,)))
-    return out
-
-
+# `redex_path` and `step_at` act on a whole term, and only the tests call
+# them; they stay here because perfbench/tracer.py wraps both by name, and
+# retiring those two metrics is a change to the benchmark.
 def redex_path(t: Term, k: int) -> Position:
     """Path of the k-th redex in left-to-right order, in O(depth)."""
     if not 0 <= k < t.n_redexes:
@@ -107,15 +93,6 @@ def redex_path(t: Term, k: int) -> Position:
             k -= f
             path.append(ARG)
             node = node.arg
-
-
-def subterm_at(t: Term, path: Position) -> Term:
-    node = t
-    for step in path:
-        if type(node) is not App:
-            raise InvalidPositionError("path leaves the term")
-        node = node.fun if step == FUN else node.arg
-    return node
 
 
 def step_at(t: Term, path: Position) -> tuple[Term, int]:
@@ -270,39 +247,7 @@ def write_trace_csv(trace: CostTrace, fp) -> None:
         writer.writerow([i, s.cost, s.size_after, "/".join(s.position)])
 
 
-# --- term sources -----------------------------------------------------------
-
-def enumerate_closed_terms(max_size: int) -> list[Term]:
-    """Every closed term of size <= max_size, smallest first, no duplicates.
-
-    The listing for max_size k is a prefix of the listing for k+1.
-    """
-    if not 1 <= max_size <= MAX_ENUMERATION_SIZE:
-        raise ValueError(f"max_size must be in 1..{MAX_ENUMERATION_SIZE}")
-    memo: dict[tuple[int, int], list[Term]] = {}
-
-    def terms_of(s: int, depth: int) -> list[Term]:
-        key = (s, depth)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc: list[Term] = []
-        if s == 1:
-            acc = [BoundVar(i) for i in range(depth)]
-        else:
-            acc.extend(Abs(b) for b in terms_of(s - 1, depth + 1))
-            for left in range(1, s - 1):
-                for f in terms_of(left, depth):
-                    for a in terms_of(s - 1 - left, depth):
-                        acc.append(App(f, a))
-        memo[key] = acc
-        return acc
-
-    out: list[Term] = []
-    for s in range(1, max_size + 1):
-        out.extend(terms_of(s, 0))
-    return out
-
+# --- term source ------------------------------------------------------------
 
 def random_closed_term(rng: random.Random, max_size: int = 12) -> Term:
     """Seeded closed-term sampler used by the experiment corpora."""

@@ -146,18 +146,8 @@ def is_value(t: Term) -> bool:
     return t.is_value
 
 
-def alpha_eq(a: Term, b: Term) -> bool:
-    """Alpha-equivalence; identical to structural equality here."""
-    return a == b
-
-
 def is_closed(t: Term) -> bool:
     return not t.has_free and t.max_index < 0
-
-
-def is_well_scoped(t: Term) -> bool:
-    """No de Bruijn index escapes its binders (free names are fine)."""
-    return t.max_index < 0
 
 
 def free_names(t: Term) -> set[str]:

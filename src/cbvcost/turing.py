@@ -37,8 +37,10 @@ class TMDefinitionError(Exception):
 
 
 class TMParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """A malformed description; `line` is None for a missing declaration."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -134,10 +136,10 @@ def parse_tm(text: str) -> TuringMachine:
             raise TMParseError(f"unknown key {key!r}", lineno)
     for key in ("alphabet", "states"):
         if key not in lists:
-            raise TMParseError(f"missing {key} declaration", 0)
+            raise TMParseError(f"missing {key} declaration")
     for key in ("blank", "initial", "final"):
         if key not in single:
-            raise TMParseError(f"missing {key} declaration", 0)
+            raise TMParseError(f"missing {key} declaration")
     delta: dict[tuple[str, str], tuple[str, str, str]] = {}
     for lineno, (q, a, _, q2, a2, move) in deltas:
         for state in (q, q2):
@@ -316,7 +318,6 @@ def build_final(m: TuringMachine, output_alphabet: Alphabet) -> Term:
 
 def build_function(m: TuringMachine, io_alphabet: Alphabet) -> Term:
     """\\x. final (trans (init x)): the whole machine as one closed term."""
-    _check_sub_alphabet(m, io_alphabet)
     init_t = build_init(m, io_alphabet)
     trans_t = build_trans(m)
     final_t = build_final(m, io_alphabet)
@@ -340,8 +341,6 @@ def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000,
     """
     if io_alphabet is None:
         io_alphabet = Alphabet(s for s in m.alphabet if s != m.blank)
-    else:
-        _check_sub_alphabet(m, io_alphabet)
     program = build_function(m, io_alphabet)
     outcome = normalize(App(program, encode_string(io_alphabet, u)), LEFTMOST, fuel)
     if not outcome.normalized:

@@ -76,8 +76,10 @@ def test_seeded_corpora_unchanged():
 
 
 def test_machine_r_bounds_with_no_base_iteration_has_no_failures():
-    # at seed 1 no base-scale term iterates, so there is no per-iteration
-    # constant to grow from
-    report = bench.suite_machine_r_bounds(1, 2)
-    assert all(r[3] == 0 for r in report.rows if r[0] == "base")
-    assert report.failures == []
+    # at seeds 1 and 2 no base-scale term iterates, so there is no
+    # per-iteration constant to grow from
+    for seed in (1, 2):
+        report = bench.suite_machine_r_bounds(seed, 2)
+        assert all(r[3] == 0 for r in report.rows if r[0] == "base")
+        assert any(r[3] > 0 for r in report.rows if r[0] == "doubled")
+        assert report.failures == []

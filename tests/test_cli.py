@@ -65,6 +65,27 @@ def test_run_tm_bad_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+NO_STATES_SPEC = """\
+alphabet: 0 1 _
+blank: _
+initial: q0
+final: qf
+"""
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("alphabet 0 1\n", "line 1: expected 'key: value'"),
+    (NO_STATES_SPEC, "missing states declaration"),
+    (FLIP_SPEC.replace("delta: q0 1 -> q0 0 R\n", ""), "missing transition for ('q0', '1')"),
+], ids=["no-colon", "no-states", "no-transition"])
+@pytest.mark.parametrize("command", ["run-tm", "compile-tm"])
+def test_machine_file_faults_name_the_file(command, spec, message, tmp_path, capsys):
+    path = tmp_path / "bad.tm"
+    path.write_text(spec)
+    assert main([command, str(path), "0"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_compile_tm(flip_path, capsys):
     assert main(["compile-tm", flip_path, "011"]) == 0
     out = capsys.readouterr().out
@@ -159,45 +180,27 @@ def test_non_positive_fuel_is_malformed_input(argv, fuel, flip_path, capsys):
     assert capsys.readouterr().err.startswith("error: fuel must be positive")
 
 
-def test_machine_r_negative_corpus(capsys):
-    assert main(["machine-r", "--corpus", "-1"]) == 1
-    assert capsys.readouterr().err.startswith("error: corpus size")
-
-
-def test_machine_r_corpus_reports_columns_by_name(capsys):
-    assert main(["machine-r", "--corpus", "2", "--seed", "0"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "terms: 3"
-    assert out[1].startswith("max ops: ") and int(out[1].split()[-1]) > 0
-    assert out[2].startswith("max per-iteration constant: ")
-
-
 def test_machine_r_corpus_builder_failure(monkeypatch, capsys):
-    def give_up(seed, count):
-        raise RuntimeError("could not build corpus: 0/5")
+    # the RuntimeError of the MachineRBounds corpus builder is malformed input
+    def give_up(seed, count, max_size, min_size=2):
+        raise RuntimeError(f"could not build corpus: 0/{count}")
 
-    monkeypatch.setattr(bench, "suite_machine_r_bounds", give_up)
-    assert main(["machine-r", "--corpus", "5"]) == 1
-    assert "could not build corpus" in capsys.readouterr().err
-
-
-def test_machine_r_corpus_rejects_an_input_term(capsys):
-    assert main(["machine-r", r"(\x.x)(\y.y)", "--corpus", "2"]) == 1
-    assert "--corpus takes no input term" in capsys.readouterr().err
-
-
-def test_machine_r_corpus_rejects_fuel(capsys):
-    assert main(["machine-r", "--corpus", "2", "--fuel", "4000"]) == 1
-    assert "--corpus takes no --fuel" in capsys.readouterr().err
+    monkeypatch.setattr(bench, "make_normalizing_corpus", give_up)
+    assert main(["bench", "MachineRBounds"]) == 1
+    assert "error: could not build corpus: 0/120" in capsys.readouterr().err
 
 
 def test_machine_r_corpus_writes_the_suite_csv(tmp_path, capsys):
+    # sha256 of the CSV that the former `machine-r --corpus 120 --seed 0
+    # --out PATH` wrote: the MachineRBounds suite is reached through `bench`
     out = tmp_path / "corpus.csv"
-    assert main(["machine-r", "--corpus", "2", "--seed", "0", "--out", str(out)]) == 0
+    assert main(["bench", "MachineRBounds", "--seed", "0", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "scale,term,size,iterations,ops,time,max_c_iter,c_global"
-    assert len(lines) == 1 + 3
-    assert f"suite CSV written to {out}" in capsys.readouterr().out
+    assert len(lines) == 1 + 120 + 60
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c1d26b73784574b6aad146abf0f141b72a380ac5dce13e7902b18977f2ec56b1")
+    assert f"180 rows written to {out}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", [
@@ -215,6 +218,10 @@ def test_normalize_deeply_nested_input(text, capsys):
     ["compile-tm", "{flip}", "011", "--seed", "1"],
     ["compile-tm", "{flip}", "011", "--out", "x.csv"],
     ["bench", "PcaCosts", "--fuel", "10"],
+    ["machine-r", "--corpus", "2"],
+    ["machine-r", "@L*0L*0", "--seed", "1"],
+    ["encode", "--church", "3", "--alphabet", "q"],
+    ["encode", "--theta", r"\x.x", "--alphabet", "a,b"],
 ])
 def test_options_nothing_reads_are_rejected(unread, flip_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -310,7 +317,6 @@ def not_utf8_path(tmp_path):
     pytest.param(["compile-tm", "{latin}", "0"], id="compile-tm-not-utf8"),
     pytest.param(["normalize", r"(\x.x)(\y.y)", "--out", "{missing}"], id="normalize-out"),
     pytest.param(["machine-r", "@L*0L*0", "--out", "{missing}"], id="machine-r-out"),
-    pytest.param(["machine-r", "--corpus", "2", "--out", "{missing}"], id="machine-r-corpus-out"),
     pytest.param(["bench", "PcaCosts", "--out", "{missing}"], id="bench-out"),
 ])
 def test_unreadable_or_unwritable_files_are_malformed_input(
@@ -404,20 +410,15 @@ def _argv(draw, paths):
         machine = paths[draw(st.sampled_from(["flip", "palindrome", "blank", "latin", "missing"]))]
         argv = [machine, draw(st.text(alphabet="01_a", max_size=8))] + fuel
     elif command == "machine-r":
-        corpus = draw(st.integers(-1, 2))
-        text = [draw(st.one_of(_term_texts, _theta_texts))]
-        if corpus:
-            # the suite runs with its own fuel; an input or --fuel is rejected
-            argv = ["--corpus", str(corpus)] + draw(st.sampled_from([[], text, fuel]))
-        else:
-            argv = text + fuel
-        argv += seed + out
+        argv = [draw(st.one_of(_term_texts, _theta_texts))] + fuel + out
     else:
         kind = draw(st.sampled_from(["--church", "--scott", "--theta"]))
         value = draw({"--church": st.integers(-10, 10 ** 12).map(str),
                       "--scott": st.text(alphabet="ab01", max_size=10),
                       "--theta": _term_texts}[kind])
-        argv = [kind, value] + option("--alphabet", st.text(alphabet="ab,_", max_size=6))
+        argv = [kind, value]
+        if kind == "--scott":
+            argv += option("--alphabet", st.text(alphabet="ab,_", max_size=6))
     # now and then an option the subcommand does not take: a usage error
     argv += draw(st.sampled_from([[]] * 9 + [["--church", "1"], ["--corpus", "1"], ["--bogus"]]))
     return [command] + argv
@@ -435,12 +436,6 @@ def test_main_is_total(machine_paths, data):
             code = e.code
     assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
     assert len(stdout.getvalue().encode()) < 256 * 1024, argv
-
-
-@pytest.mark.parametrize("seed", ["1", "2"])
-def test_machine_r_corpus_without_base_iterations_exits_zero(seed, capsys):
-    assert main(["machine-r", "--corpus", "2", "--seed", seed]) == 0
-    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["run-tm", "compile-tm"])

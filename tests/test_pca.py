@@ -6,8 +6,10 @@ import pytest
 
 from cbvcost import (
     Abs, BoundVar, XiValue, apply_in_xi, build_combinator, pair, parse_term,
-    size, unpair,
+    size,
 )
+
+from reference import unpair
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "costs.json").read_text())["pca"]
 

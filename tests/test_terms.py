@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from cbvcost import (
     Abs, App, BoundVar, FreeVar, ParseError,
-    alpha_eq, ap, free_names, fv, is_closed, is_value, is_well_scoped,
-    lam, normalize, parse_term, print_term, size, substitute_top,
+    ap, free_names, fv, is_closed, is_value, lam, normalize, parse_term,
+    print_term, size, substitute_top,
 )
 
 from conftest import terms
+from reference import alpha_eq, is_well_scoped
 
 I = Abs(BoundVar(0))
 

@@ -59,6 +59,13 @@ def test_parse_reports_line_numbers():
     assert e.value.line == len(FLIP_SPEC.splitlines()) + 1
 
 
+def test_missing_declaration_has_no_line():
+    with pytest.raises(TMParseError) as e:
+        parse_tm(FLIP_SPEC.replace("states: q0 qf\n", ""))
+    assert e.value.line is None
+    assert str(e.value) == "missing states declaration"
+
+
 def test_parse_rejects_unknown_key_and_bad_arrow():
     with pytest.raises(TMParseError):
         parse_tm(FLIP_SPEC + "tape: x\n")
@@ -207,3 +214,14 @@ def test_run_compiled_rejects_foreign_input():
     m = flip_machine()
     with pytest.raises(Exception):
         run_compiled(m, "2")
+
+
+def test_io_alphabet_outside_the_machine_alphabet_is_rejected():
+    m = flip_machine()
+    foreign = Alphabet(("0", "x"))
+    builds = [lambda: build_init(m, foreign), lambda: build_final(m, foreign),
+              lambda: build_function(m, foreign),
+              lambda: run_compiled(m, "0", io_alphabet=foreign)]
+    for build in builds:
+        with pytest.raises(TMDefinitionError, match="IO symbol 'x' is not in the machine alphabet"):
+            build()
