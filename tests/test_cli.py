@@ -203,6 +203,17 @@ def test_machine_r_corpus_writes_the_suite_csv(tmp_path, capsys):
     assert f"180 rows written to {out}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_machine_r_corpus_without_base_iterations_exits_zero(seed, monkeypatch, tmp_path, capsys):
+    # a two-term MachineRBounds corpus at seeds 1 and 2 has no base-scale
+    # iteration: `bench` skips that bound instead of reporting a violation
+    monkeypatch.setitem(bench.SUITES, "MachineRBounds",
+                        lambda s: bench.suite_machine_r_bounds(s, 2))
+    out = tmp_path / "corpus.csv"
+    assert main(["bench", "MachineRBounds", "--seed", seed, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("(" * 5000 + "x" + ")" * 5000, id="parentheses"),
     pytest.param("(\\x. " * 5000 + "x" + ")" * 5000, id="abstractions"),
