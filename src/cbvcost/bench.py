@@ -39,7 +39,8 @@ def growth_term(n: int) -> Term:
     return App(App(church_numeral(n), church_numeral(2)), FreeVar("c"))
 
 
-def suite_cost_growth(seed: int = 42, fuel: int = 100_000) -> SuiteReport:
+def suite_cost_growth(seed: int = 42) -> SuiteReport:
+    fuel = 100_000
     rows = []
     failures = []
     times = {}
@@ -63,8 +64,8 @@ def suite_cost_growth(seed: int = 42, fuel: int = 100_000) -> SuiteReport:
     return SuiteReport(["n", "steps", "total_cost", "time", "ratio"], rows, failures)
 
 
-def _cost_of(t: Term, fuel: int = 200_000) -> int:
-    outcome = normalize(t, LEFTMOST, fuel)
+def _cost_of(t: Term) -> int:
+    outcome = normalize(t, LEFTMOST, 200_000)
     if not outcome.normalized:
         raise RuntimeError("measurement term did not normalize")
     return outcome.trace.total_cost
@@ -74,7 +75,8 @@ def _pattern(k: int) -> str:
     return ("ab" * (k // 2 + 1))[:k]
 
 
-def suite_append_costs(seed: int = 42, max_len: int = 8) -> SuiteReport:
+def suite_append_costs(seed: int = 42) -> SuiteReport:
+    max_len = 8
     a = Alphabet("ab")
     append_char = build_append(a, "char")
     append_string = build_append(a, "string")
@@ -119,17 +121,17 @@ def suite_append_costs(seed: int = 42, max_len: int = 8) -> SuiteReport:
     return SuiteReport(["operation", "alphabet", "u_len", "v_len", "cost"], rows, failures)
 
 
-def suite_tm_overhead(seed: int = 42, max_len: int = 6, fuel: int = 2_000_000) -> SuiteReport:
+def suite_tm_overhead(seed: int = 42) -> SuiteReport:
     rng = random.Random(seed)
     rows = []
     failures = []
     for name, machine in (("flip", flip_machine()), ("palindrome", even_palindrome_machine())):
         ratios = []
         inputs = [""]
-        for k in range(1, max_len + 1):
+        for k in range(1, 7):
             inputs.append("".join(rng.choice("01") for _ in range(k)))
         for u in inputs:
-            run = run_compiled(machine, u, fuel)
+            run = run_compiled(machine, u, 2_000_000)
             ratio = run.lambda_cost / (run.tm_steps + len(u) + 1)
             ratios.append(ratio)
             rows.append([name, u, run.tm_steps, run.lambda_cost, f"{ratio:.4f}"])
@@ -164,8 +166,7 @@ def normalizes_within(t: Term, fuel: int, size_limit: int) -> bool:
 
 
 def make_normalizing_corpus(seed: int, count: int, max_size: int,
-                            min_size: int = 2, fuel: int = 1500,
-                            size_limit: int = 50_000) -> list[Term]:
+                            min_size: int = 2, fuel: int = 1500) -> list[Term]:
     """Seeded closed terms that provably normalize within `fuel` steps."""
     rng = random.Random(seed)
     corpus: list[Term] = []
@@ -173,7 +174,7 @@ def make_normalizing_corpus(seed: int, count: int, max_size: int,
     while len(corpus) < count and attempts < count * 400:
         attempts += 1
         t = random_closed_term(rng, max_size)
-        if min_size <= t.size <= max_size and normalizes_within(t, fuel, size_limit):
+        if min_size <= t.size <= max_size and normalizes_within(t, fuel, 50_000):
             corpus.append(t)
     if len(corpus) < count:
         raise RuntimeError(f"could not build corpus: {len(corpus)}/{count}")
@@ -188,7 +189,8 @@ def agrees_with_engine(result: MachineRResult, engine: ReductionOutcome) -> bool
             and len(result.iterations) == engine.steps)
 
 
-def _machine_r_scale(corpus, fuel):
+def _machine_r_scale(corpus):
+    fuel = 4000
     max_c = 0.0
     max_c2 = 0.0
     rows = []
@@ -208,13 +210,13 @@ def _machine_r_scale(corpus, fuel):
     return rows, max_c, max_c2
 
 
-def suite_machine_r_bounds(seed: int = 42, count: int = 120, fuel: int = 4000) -> SuiteReport:
+def suite_machine_r_bounds(seed: int = 42, count: int = 120) -> SuiteReport:
     base = make_normalizing_corpus(seed, count, max_size=12)
     doubled = make_normalizing_corpus(seed + 1, count // 2, max_size=24, min_size=13)
     failures = []
     rows = []
-    rows_a, c_a, c2_a = _machine_r_scale(base, fuel)
-    rows_b, c_b, c2_b = _machine_r_scale(doubled, fuel)
+    rows_a, c_a, c2_a = _machine_r_scale(base)
+    rows_b, c_b, c2_b = _machine_r_scale(doubled)
     for scale, batch in (("base", rows_a), ("doubled", rows_b)):
         for r in batch:
             if r[-1] is not True:
@@ -231,11 +233,11 @@ def suite_machine_r_bounds(seed: int = 42, count: int = 120, fuel: int = 4000) -
         rows, failures)
 
 
-def _value_pool(seed: int, count: int = 10) -> list[XiValue]:
+def _value_pool(seed: int) -> list[XiValue]:
     """Closed values of assorted sizes whose applications always normalize."""
     rng = random.Random(seed)
     pool = [XiValue(Abs(BoundVar(0)))]
-    while len(pool) < count:
+    while len(pool) < 10:
         body: Term = BoundVar(0)
         for _ in range(rng.randint(1, 40)):
             body = Abs(body)

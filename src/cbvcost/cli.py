@@ -3,12 +3,13 @@
 Subcommands: normalize, run-tm, compile-tm, machine-r, encode, bench.
 Exit codes: 0 success, 1 malformed input (including a machine file that
 cannot be read, is not UTF-8 or is malformed, reported with its name, and
-an `--out` that cannot be written),
-usage error or failed suite assertion, 2 fuel exhausted, 3 cross-check
-mismatch.  Each command runs straight through; `main` alone maps the
-exceptions in `_EXIT_CODES` to codes, and any other exception is a bug
-and propagates.  All randomness is drawn from --seed, so outputs
-(including CSV files) are byte-identical across runs.
+an `--out` that cannot be written), usage error or failed suite
+assertion, 2 fuel exhausted (the run still prints its counters and
+writes --out), 3 cross-check mismatch.  Each command runs straight
+through; `main` alone maps the exceptions in `_EXIT_CODES` to codes, and
+any other exception is a bug and propagates.  All randomness is drawn
+from --seed, so outputs (including CSV files) are byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .machine_r import MachineRError, mr_normalize
 from .reduction import STRATEGIES, normalize, write_trace_csv
 from .terms import TermError, free_names, parse_term, print_term
 from .theta import encode_theta, theta_to_ascii
-from .turing import FuelExhausted, OracleMismatchError, TMDefinitionError, TMParseError, parse_tm, run_compiled, simulate_tm
+from .turing import FuelExhausted, OracleMismatchError, TMDefinitionError, parse_tm, run_compiled, simulate_tm
 
 OK, BAD_INPUT, OUT_OF_FUEL, MISMATCH = 0, 1, 2, 3
 
@@ -56,21 +57,20 @@ def _capped(size: int, unit: str, render) -> str:
 def cmd_normalize(args) -> int:
     term = parse_term(args.term)
     outcome = normalize(term, args.strategy, args.fuel, args.seed)
-    if not outcome.normalized:
+    if outcome.normalized:
+        nf = outcome.term
+        print(f"normal form: {_capped(nf.size, 'nodes', lambda: print_term(nf))}")
+    else:
         print(f"no normal form within {args.fuel} steps")
-        print(f"steps: {outcome.steps}")
-        print(f"cost: {outcome.trace.total_cost}")
-        return OUT_OF_FUEL
-    nf = outcome.term
-    print(f"normal form: {_capped(nf.size, 'nodes', lambda: print_term(nf))}")
     print(f"steps: {outcome.steps}")
     print(f"cost: {outcome.trace.total_cost}")
-    print(f"time: {outcome.time()}")
+    if outcome.normalized:
+        print(f"time: {outcome.time()}")
     if args.out:
         with open(args.out, "w", newline="") as fp:
             write_trace_csv(outcome.trace, fp)
         print(f"trace written to {args.out}")
-    return OK
+    return OK if outcome.normalized else OUT_OF_FUEL
 
 
 def _load_machine(path: str):
@@ -79,18 +79,18 @@ def _load_machine(path: str):
     with open(path, encoding="utf-8") as fp:
         try:
             return parse_tm(fp.read())
-        except (UnicodeDecodeError, TMParseError, TMDefinitionError) as e:
+        except (UnicodeDecodeError, TMDefinitionError) as e:
             raise ValueError(f"{path}: {e}") from None
 
 
 def cmd_run_tm(args) -> int:
     run = simulate_tm(_load_machine(args.machine), args.input, args.fuel)
-    if not run.halted:
+    if run.halted:
+        print(f"output: {run.output}")
+    else:
         print(f"machine did not halt within {args.fuel} steps")
-        return OUT_OF_FUEL
-    print(f"output: {run.output}")
     print(f"steps: {run.steps}")
-    return OK
+    return OK if run.halted else OUT_OF_FUEL
 
 
 def cmd_compile_tm(args) -> int:
@@ -122,11 +122,11 @@ def cmd_machine_r(args) -> int:
         theta = encode_theta(term)
         cross_check = term
     result = mr_normalize(theta, args.fuel)
-    if not result.normalized:
+    if result.normalized:
+        out = result.theta
+        print(f"output: {_capped(len(out), 'symbols', lambda: theta_to_ascii(out))}")
+    else:
         print(f"no normal form within {args.fuel} iterations")
-        return OUT_OF_FUEL
-    out = result.theta
-    print(f"output: {_capped(len(out), 'symbols', lambda: theta_to_ascii(out))}")
     print(f"iterations: {len(result.iterations)}")
     print(f"tape operations: {result.op_count}")
     if args.out:
@@ -134,12 +134,13 @@ def cmd_machine_r(args) -> int:
                       [(i, it.tl_before, it.tl_after, it.ops)
                        for i, it in enumerate(result.iterations, 1)])
         print(f"iteration log written to {args.out}")
-    if cross_check is not None:
-        engine = normalize(cross_check, "leftmost", max(args.fuel * 4, 1000))
+    if cross_check is not None and result.normalized:
+        # k machine iterations agree only with k engine steps, and k <= fuel
+        engine = normalize(cross_check, "leftmost", args.fuel)
         if not bench.agrees_with_engine(result, engine):
             raise OracleMismatchError("tape machine and reduction engine disagree")
         print("engine cross-check: ok")
-    return OK
+    return OK if result.normalized else OUT_OF_FUEL
 
 
 def cmd_encode(args) -> int:
@@ -233,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "fuel", 1) <= 0:
-            raise ValueError(f"fuel must be positive, got {args.fuel}")
         return args.func(args)
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)

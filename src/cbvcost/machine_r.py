@@ -260,7 +260,8 @@ class MachineRResult:
 
 
 def mr_normalize(theta: str, fuel_iterations: int = 100_000) -> MachineRResult:
-    """Iterate steps 1-4 until no redex remains or the iteration fuel is spent.
+    """Iterate steps 1-4 until no redex remains or the iteration fuel is
+    spent; a normal form left by the last iteration counts.
 
     Input may use the unicode or the ASCII spelling; it is validated (arity
     and index scoping) before the machine starts.
@@ -280,5 +281,7 @@ def mr_normalize(theta: str, fuel_iterations: int = 100_000) -> MachineRResult:
         reassemble_pass(state)
         state.iterations.append(IterationStats(tl_before, len(state.current),
                                                state.op_count - ops_before))
+    # the find pass every normalized run ends with, charged as such
+    normalized = find_redex_pass(state) == NO_REDEX
     return MachineRResult("".join(state.current), state.op_count,
-                          state.iterations, False)
+                          state.iterations, normalized)

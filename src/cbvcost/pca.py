@@ -52,17 +52,13 @@ COMBINATOR_SOURCES = {
 
 COMBINATOR_NAMES = tuple(COMBINATOR_SOURCES)
 
-_cache: dict[str, XiValue] = {}
-
 
 def build_combinator(name: str) -> XiValue:
     """Pairing/plumbing combinators by name; see COMBINATOR_NAMES."""
     key = name.lower()
     if key not in COMBINATOR_SOURCES:
         raise KeyError(f"unknown combinator {name!r} (have {COMBINATOR_NAMES})")
-    if key not in _cache:
-        _cache[key] = XiValue(parse_term(COMBINATOR_SOURCES[key]))
-    return _cache[key]
+    return XiValue(parse_term(COMBINATOR_SOURCES[key]))
 
 
 def pair(v: XiValue, u: XiValue) -> XiValue:
@@ -72,8 +68,6 @@ def pair(v: XiValue, u: XiValue) -> XiValue:
 
 def apply_in_xi(u: XiValue, v: XiValue, fuel: int = 100_000) -> Optional[AppResult]:
     """Partial application in the structure: None when undefined within fuel."""
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
     outcome = normalize(App(u.term, v.term), LEFTMOST, fuel)
     if not outcome.normalized:
         return None

@@ -36,8 +36,9 @@ class TMDefinitionError(Exception):
     pass
 
 
-class TMParseError(Exception):
-    """A malformed description; `line` is None for a missing declaration."""
+class TMParseError(TMDefinitionError):
+    """A fault in a machine description, at the line of the declaration or
+    transition at fault; `line` is None for a missing one."""
 
     def __init__(self, message: str, line: Optional[int] = None):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -62,6 +63,8 @@ class TMConfig:
 
 @dataclass(frozen=True)
 class TuringMachine:
+    """A machine that `parse_tm` built, and so validated."""
+
     alphabet: tuple[str, ...]
     blank: str
     states: tuple[str, ...]
@@ -69,43 +72,16 @@ class TuringMachine:
     final: str
     delta: dict[tuple[str, str], tuple[str, str, str]]
 
-    def __post_init__(self):
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise TMDefinitionError("alphabet symbols must be distinct")
-        if any(len(s) != 1 for s in self.alphabet):
-            raise TMDefinitionError("tape symbols must be single characters")
-        if self.blank not in self.alphabet:
-            raise TMDefinitionError("blank symbol must belong to the alphabet")
-        if len(set(self.states)) != len(self.states):
-            raise TMDefinitionError("states must be distinct")
-        for q in (self.initial, self.final):
-            if q not in self.states:
-                raise TMDefinitionError(f"state {q!r} is not declared")
-        for (q, a), (q2, a2, move) in self.delta.items():
-            if q not in self.states or q2 not in self.states:
-                raise TMDefinitionError(f"transition uses unknown state in {(q, a)}")
-            if a not in self.alphabet or a2 not in self.alphabet:
-                raise TMDefinitionError(f"transition uses unknown symbol in {(q, a)}")
-            if q == self.final:
-                raise TMDefinitionError("the transition function is undefined on the final state")
-            if move not in MOVES:
-                raise TMDefinitionError(f"unknown move {move!r}")
-        for q in self.states:
-            if q == self.final:
-                continue
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise TMDefinitionError(f"missing transition for ({q!r}, {a!r})")
-
 
 def parse_tm(text: str) -> TuringMachine:
     """Line-oriented machine description; '#' starts a comment.
 
     Keys: alphabet, blank, states, initial, final, and one `delta:` line per
-    transition `q a -> q' a' M` with M in {L, R, S}.
+    transition `q a -> q' a' M` with M in {L, R, S}.  This is the one
+    validator of a machine: each fault is checked here, once.
     """
-    single: dict[str, str] = {}
-    lists: dict[str, tuple[str, ...]] = {}
+    lines: dict[str, int] = {}  # the line of each declaration
+    values: dict[str, tuple[str, ...]] = {}
     deltas: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -120,43 +96,54 @@ def parse_tm(text: str) -> TuringMachine:
             if len(tokens) != 6 or tokens[2] != "->":
                 raise TMParseError("expected 'delta: q a -> q a move'", lineno)
             deltas.append((lineno, tokens))
-        elif key in ("alphabet", "states"):
+            continue
+        if key in ("alphabet", "states"):
             if not tokens:
                 raise TMParseError(f"empty {key} declaration", lineno)
-            if key in lists:
-                raise TMParseError(f"duplicate {key} declaration", lineno)
-            lists[key] = tuple(tokens)
         elif key in ("blank", "initial", "final"):
             if len(tokens) != 1:
                 raise TMParseError(f"{key} takes exactly one token", lineno)
-            if key in single:
-                raise TMParseError(f"duplicate {key} declaration", lineno)
-            single[key] = tokens[0]
         else:
             raise TMParseError(f"unknown key {key!r}", lineno)
-    for key in ("alphabet", "states"):
-        if key not in lists:
+        if key in lines:
+            raise TMParseError(f"duplicate {key} declaration", lineno)
+        lines[key], values[key] = lineno, tuple(tokens)
+    for key in ("alphabet", "states", "blank", "initial", "final"):
+        if key not in lines:
             raise TMParseError(f"missing {key} declaration")
-    for key in ("blank", "initial", "final"):
-        if key not in single:
-            raise TMParseError(f"missing {key} declaration")
+    alphabet, states = values["alphabet"], values["states"]
+    (blank,), (initial,), (final,) = values["blank"], values["initial"], values["final"]
+    if len(set(alphabet)) != len(alphabet):
+        raise TMParseError("alphabet symbols must be distinct", lines["alphabet"])
+    if any(len(s) != 1 for s in alphabet):
+        raise TMParseError("tape symbols must be single characters", lines["alphabet"])
+    if blank not in alphabet:
+        raise TMParseError("blank symbol must belong to the alphabet", lines["blank"])
+    if len(set(states)) != len(states):
+        raise TMParseError("states must be distinct", lines["states"])
+    for key, q in (("initial", initial), ("final", final)):
+        if q not in states:
+            raise TMParseError(f"state {q!r} is not declared", lines[key])
     delta: dict[tuple[str, str], tuple[str, str, str]] = {}
     for lineno, (q, a, _, q2, a2, move) in deltas:
         for state in (q, q2):
-            if state not in lists["states"]:
+            if state not in states:
                 raise TMParseError(f"unknown state {state!r}", lineno)
         for sym in (a, a2):
-            if sym not in lists["alphabet"]:
+            if sym not in alphabet:
                 raise TMParseError(f"unknown symbol {sym!r}", lineno)
-        if q == single["final"]:
+        if q == final:
             raise TMParseError("transition out of the final state", lineno)
         if move not in MOVES:
             raise TMParseError(f"unknown move {move!r}", lineno)
         if (q, a) in delta:
             raise TMParseError(f"duplicate transition for ({q!r}, {a!r})", lineno)
         delta[(q, a)] = (q2, a2, move)
-    return TuringMachine(lists["alphabet"], single["blank"], lists["states"],
-                         single["initial"], single["final"], delta)
+    for q in states:
+        for a in alphabet:
+            if q != final and (q, a) not in delta:
+                raise TMParseError(f"missing transition for ({q!r}, {a!r})")
+    return TuringMachine(alphabet, blank, states, initial, final, delta)
 
 
 # --- native simulation --------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cbvcost import Abs, App, BoundVar, FreeVar
+from cbvcost.turing import FLIP_SPEC
 
 
 @st.composite
@@ -42,3 +43,26 @@ def single_free_terms(draw, max_size=14):
 @pytest.fixture
 def rng():
     return random.Random(2024)
+
+
+def _flip_with(old, new):
+    assert old in FLIP_SPEC
+    return FLIP_SPEC.replace(old, new)
+
+
+# a fault in each declaration of FLIP_SPEC: (spec, line of the declaration,
+# message); parse_tm reports each at that line
+DECLARATION_FAULTS = {
+    "duplicate-symbol": (_flip_with("alphabet: 0 1 _", "alphabet: 0 1 1 _"), 2,
+                         "alphabet symbols must be distinct"),
+    "multi-character-symbol": (_flip_with("alphabet: 0 1 _", "alphabet: 0 1 __"), 2,
+                               "tape symbols must be single characters"),
+    "blank-outside-alphabet": (_flip_with("blank: _", "blank: x"), 3,
+                               "blank symbol must belong to the alphabet"),
+    "duplicate-state": (_flip_with("states: q0 qf", "states: q0 qf q0"), 4,
+                        "states must be distinct"),
+    "undeclared-initial": (_flip_with("initial: q0", "initial: q9"), 5,
+                           "state 'q9' is not declared"),
+    "undeclared-final": (_flip_with("final: qf", "final: q9"), 6,
+                         "state 'q9' is not declared"),
+}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import terms
+from conftest import DECLARATION_FAULTS, terms
 
 from cbvcost import bench
 from cbvcost.cli import PRINT_LIMIT, main
@@ -74,10 +74,13 @@ final: qf
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("alphabet 0 1\n", "line 1: expected 'key: value'"),
-    (NO_STATES_SPEC, "missing states declaration"),
-    (FLIP_SPEC.replace("delta: q0 1 -> q0 0 R\n", ""), "missing transition for ('q0', '1')"),
-], ids=["no-colon", "no-states", "no-transition"])
+    pytest.param("alphabet 0 1\n", "line 1: expected 'key: value'", id="no-colon"),
+    pytest.param(NO_STATES_SPEC, "missing states declaration", id="no-states"),
+    pytest.param(FLIP_SPEC.replace("delta: q0 1 -> q0 0 R\n", ""),
+                 "missing transition for ('q0', '1')", id="no-transition"),
+    *[pytest.param(spec, f"line {line}: {message}", id=fault)
+      for fault, (spec, line, message) in DECLARATION_FAULTS.items()],
+])
 @pytest.mark.parametrize("command", ["run-tm", "compile-tm"])
 def test_machine_file_faults_name_the_file(command, spec, message, tmp_path, capsys):
     path = tmp_path / "bad.tm"
@@ -264,6 +267,37 @@ def test_normalize_in_exactly_fuel_steps(capsys):
     assert "normal form: \\x0.x0" in capsys.readouterr().out
 
 
+def test_machine_r_in_exactly_fuel_iterations(capsys):
+    # the engine cross-check runs at the same fuel: one step, one iteration
+    assert main(["machine-r", r"(\x.x)(\y.y)", "--fuel", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "output: L*0" in out
+    assert "engine cross-check: ok" in out
+
+
+@pytest.mark.parametrize("command, counters", [
+    pytest.param("normalize", ["no normal form within 5 steps", "steps: 5", "cost: 5"],
+                 id="normalize"),
+    # five iterations of 135 operations, and the find pass that sees a redex
+    pytest.param("machine-r", ["no normal form within 5 iterations", "iterations: 5",
+                               "tape operations: 716"], id="machine-r"),
+])
+def test_out_of_fuel_run_reports_its_counters_and_writes_out(command, counters, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main([command, r"(\x.x x)(\x.x x)", "--fuel", "5", "--out", str(out)]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert all(line in printed for line in counters), printed
+    assert "engine cross-check: ok" not in printed
+    assert len(out.read_text().splitlines()) == 1 + 5
+
+
+def test_run_tm_out_of_fuel_reports_its_steps(tmp_path, capsys):
+    path = tmp_path / "loop.tm"
+    path.write_text(FLIP_SPEC.replace("q0 _ -> qf _ S", "q0 _ -> q0 _ S"))
+    assert main(["run-tm", str(path), "011", "--fuel", "10"]) == 2
+    assert capsys.readouterr().out == "machine did not halt within 10 steps\nsteps: 10\n"
+
+
 def test_normalize_prints_the_size_of_a_huge_normal_form(capsys):
     # D = \x.\k.k x x doubles its argument: at depth 60 the normal form has
     # 6 * 2^60 - 4 nodes (shared in memory, not in print)
@@ -398,6 +432,7 @@ def machine_paths(tmp_path_factory):
 _term_texts = st.one_of(
     st.text(alphabet="\\λ.() xyz", max_size=30),
     terms(max_size=10).map(lambda t: print_term(t)[:30]),
+    st.just(r"(\x.x x)(\x.x x)"),  # runs out of any fuel
 )
 _theta_texts = st.one_of(
     st.text(alphabet="L@*01λ▶", max_size=30),
@@ -439,6 +474,8 @@ def _argv(draw, paths):
 @given(data=st.data())
 def test_main_is_total(machine_paths, data):
     argv = data.draw(_argv(machine_paths))
+    out = pathlib.Path(machine_paths["out"])
+    out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -447,6 +484,9 @@ def test_main_is_total(machine_paths, data):
             code = e.code
     assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
     assert len(stdout.getvalue().encode()) < 256 * 1024, argv
+    # a run that finished or ran out of fuel writes the --out it names
+    if argv[0] in ("normalize", "machine-r") and str(out) in argv and code in (0, 2):
+        assert out.exists(), argv
 
 
 @pytest.mark.parametrize("command", ["run-tm", "compile-tm"])

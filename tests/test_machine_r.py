@@ -192,6 +192,25 @@ def test_mr_normalize_divergent_exhausts_fuel():
     assert len(result.iterations) == 25
 
 
+@pytest.mark.parametrize("text", [
+    r"(\x.x)(\y.y)",
+    r"(\x.\y.x y y)(\z.z)(\w.w)",
+    r"(\x.\k.k x x) ((\x.\k.k x x) ((\x.\k.k x x) (\z.z)))",
+])
+def test_mr_normalize_in_exactly_the_iterations_it_needs(text):
+    # a normal form left by the last iteration counts, and the find pass
+    # that sees it is charged as in a run with fuel to spare
+    theta = encode_theta(parse_term(text))
+    spare = mr_normalize(theta, 100_000)
+    k = len(spare.iterations)
+    exact = mr_normalize(theta, k)
+    assert exact.normalized
+    assert (exact.theta, exact.op_count, exact.iterations) == (
+        spare.theta, spare.op_count, spare.iterations)
+    if k > 1:
+        assert not mr_normalize(theta, k - 1).normalized
+
+
 def test_mr_normalize_rejects_malformed_input():
     with pytest.raises(MalformedThetaError):
         mr_normalize("@λ▶0")

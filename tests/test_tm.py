@@ -11,6 +11,8 @@ from cbvcost import (
 )
 from cbvcost.turing import FLIP_SPEC
 
+from conftest import DECLARATION_FAULTS
+
 LOOP_SPEC = """\
 alphabet: 0 _
 blank: _
@@ -57,6 +59,15 @@ def test_parse_reports_line_numbers():
     with pytest.raises(TMParseError) as e:
         parse_tm(FLIP_SPEC + "delta: q9 0 -> q0 0 R\n")
     assert e.value.line == len(FLIP_SPEC.splitlines()) + 1
+
+
+@pytest.mark.parametrize("fault", DECLARATION_FAULTS)
+def test_declaration_faults_report_their_line(fault):
+    spec, line, message = DECLARATION_FAULTS[fault]
+    with pytest.raises(TMParseError) as e:
+        parse_tm(spec)
+    assert e.value.line == line
+    assert str(e.value) == f"line {line}: {message}"
 
 
 def test_missing_declaration_has_no_line():
