@@ -10,6 +10,14 @@ All strategies pick among the same redex set, so by the diamond property
 they agree on the normal form, the step count and the total weight; the
 engine exposes leftmost, rightmost and a seeded random strategy to make
 that claim falsifiable.
+
+Leftmost reduction of a well-scoped term runs on a closure machine, which
+never builds a reduct.  Weak call-by-value redexes never nest, so evaluating
+the function, then the argument, then firing meets the redexes in leftmost
+order, and a step's cost is arithmetic on the sizes the machine keeps.  The
+`Zipper` substitutes; it can fire any redex, so it runs the rightmost and
+random strategies and the divergence probe, which compares whole terms, and
+the tests check the machine against it step by step.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ STRATEGIES = (LEFTMOST, RIGHTMOST, RANDOM)
 Position = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     position: Position
     cost: int
@@ -204,6 +212,170 @@ class Zipper:
         return node
 
 
+# --- leftmost reduction on a closure machine ---------------------------------
+#
+# A machine value is a triple.  (code, env, size) stands for a term value:
+# code is an Abs or a FreeVar of the input, env the values of code's dangling
+# indices (env[i] for index i) and size the size of the term it stands for.
+# (None, fun, arg) is a stuck application of two machine values.
+
+def _dangling(t: Term) -> dict[int, int]:
+    """How often each dangling index of `t` occurs in it, by index."""
+    counts: dict[int, int] = {}
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.max_index < depth:
+            continue
+        if type(node) is BoundVar:
+            i = node.index - depth
+            counts[i] = counts.get(i, 0) + 1
+        elif type(node) is Abs:
+            stack.append((node.body, depth + 1))
+        else:
+            stack.append((node.arg, depth))
+            stack.append((node.fun, depth))
+    return counts
+
+
+def _read_back(roots: list[tuple]) -> list[Term]:
+    """The terms that machine values, or (code, env, None), stand for.
+
+    Each value is read back once and its term shared wherever the value is
+    bound, as a substitution shares the value it inserts.  The walk keeps its
+    own stack, so depth is bounded by memory, not by the recursion limit.
+    """
+    memo: dict[int, Term] = {}
+    stack = list(roots)
+    while stack:
+        v = stack[-1]
+        if id(v) in memo:
+            stack.pop()
+            continue
+        code, env, _ = v
+        needed = v[1:] if code is None else [env[i] for i in _dangling(code)]
+        missing = [w for w in needed if id(w) not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if code is None:
+            memo[id(v)] = App(memo[id(v[1])], memo[id(v[2])])
+        else:
+            memo[id(v)] = _instantiate(code, env, memo)
+    return [memo[id(v)] for v in roots]
+
+
+def _instantiate(code: Term, env: tuple, memo: dict[int, Term]) -> Term:
+    """`code` with each dangling index i replaced by the term of env[i]."""
+    if code.max_index < 0:
+        return code
+    out: list[Term] = []
+    stack: list[tuple[Term, int, bool]] = [(code, 0, False)]
+    while stack:
+        node, depth, done = stack.pop()
+        if done:
+            if type(node) is Abs:
+                out.append(Abs(out.pop()))
+            else:
+                arg = out.pop()
+                fun = out.pop()
+                out.append(App(fun, arg))
+            continue
+        if node.max_index < depth:
+            out.append(node)
+        elif type(node) is BoundVar:
+            out.append(memo[id(env[node.index - depth])])
+        elif type(node) is Abs:
+            stack.append((node, depth, True))
+            stack.append((node.body, depth + 1, False))
+        else:
+            stack.append((node, depth, True))
+            stack.append((node.arg, depth, False))
+            stack.append((node.fun, depth, False))
+    return out[0]
+
+
+def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
+    """Leftmost reduction of a well-scoped term on a closure machine.
+
+    The leftmost redex is the first one reached by evaluating the
+    function, then the argument, then firing; everything left of it is in
+    normal form, so after a step the next one lies in the reduct or above
+    it, where evaluation goes on.  Firing (λM)[env] on a value V enters M
+    with V bound, and the step's growth is k(|V| − 1) − |V| − 2 for the k
+    occurrences of the bound index in M.  A step's position is the sides of
+    the frames from the root down to it.  Out of fuel, the machine
+    evaluates on to the next step without taking it and plugs the redex
+    into its frames: the term the Zipper would hold.
+    """
+    # per Abs node of the input, counted once: the occurrences of its
+    # dangling indices, which size its closures, and of its bound index
+    closure_counts: dict[int, tuple[tuple[int, int], ...]] = {}
+    bound_uses: dict[int, int] = {}
+    # equal positions share one tuple: a run revisits few of them
+    positions: dict[Position, Position] = {}
+    trace = CostTrace(t.size)
+    steps = trace.steps
+    size = t.size
+    # FUN frame: (argument code, env) still to evaluate; ARG frame: the
+    # function's value.  `path` holds the side of each frame.
+    frames: list[tuple] = []
+    path: list[str] = []
+    code, env = t, ()
+    while True:
+        while type(code) is App:
+            frames.append((code.arg, env))
+            path.append(FUN)
+            code = code.fun
+        if type(code) is Abs:
+            value_size = code.size
+            if code.max_index >= 0:
+                counts = closure_counts.get(id(code))
+                if counts is None:
+                    counts = closure_counts[id(code)] = tuple(_dangling(code).items())
+                for i, n in counts:
+                    value_size += n * (env[i][2] - 1)
+            # keep only the bindings the code can reach, so that a value
+            # does not hold on to its whole scope
+            value = (code, env[:code.max_index + 1], value_size)
+        elif type(code) is BoundVar:
+            value = env[code.index]
+        else:
+            value = (code, (), 1)
+        while path:
+            if path[-1] is FUN:
+                code, env = frames[-1]
+                frames[-1] = value
+                path[-1] = ARG
+                break
+            path.pop()
+            fun = frames.pop()
+            lam = fun[0]
+            if type(lam) is Abs and value[0] is not None:
+                if len(steps) == fuel:
+                    pending = [f if side is ARG else (*f, None) for side, f in zip(path, frames)]
+                    lam_term, arg, *others = _read_back([fun, value] + pending)
+                    node = App(lam_term, arg)
+                    for side, other in zip(reversed(path), reversed(others)):
+                        node = App(node, other) if side is FUN else App(other, node)
+                    return ReductionOutcome(node, trace, False)
+                k = bound_uses.get(id(lam))
+                if k is None:
+                    k = bound_uses[id(lam)] = _dangling(lam.body).get(0, 0)
+                value_size = value[2]
+                growth = k * (value_size - 1) - value_size - 2
+                size += growth
+                position = tuple(path)
+                steps.append(TraceStep(positions.setdefault(position, position),
+                                       growth if growth > 1 else 1, size))
+                code, env = lam.body, (value,) + fun[1]
+                break
+            value = (None, fun, value)
+        else:
+            return ReductionOutcome(_read_back([value])[0], trace, True)
+
+
 def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
               seed: int = 42) -> ReductionOutcome:
     """Reduce until no redex remains or `fuel` steps are spent; a normal
@@ -211,12 +383,17 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
 
     Divergence is undecidable; fuel exhaustion is an ordinary outcome, never
     an error.  The random strategy draws every choice from `seed`, so runs
-    are reproducible.
+    are reproducible.  Leftmost runs on the closure machine, the others on
+    a Zipper.  A term with a dangling de Bruijn index (no parsed term has
+    one) also stays on the Zipper, which leaves such an index as it is
+    where the machine would look it up.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == LEFTMOST and t.max_index < 0:
+        return _leftmost(t, fuel)
     rng = random.Random(seed) if strategy == RANDOM else None
     trace = CostTrace(t.size)
     z = Zipper(t)

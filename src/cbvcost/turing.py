@@ -323,15 +323,17 @@ def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000,
     """Reduce the compiled machine on `u` and check it against the simulator.
 
     Returns the decoded output, the reduction weight and the oracle's step
-    count.  Raises FuelExhausted when reduction does not finish (a looping
-    machine) and OracleMismatchError when the outputs differ.
+    count.  Raises FuelExhausted, naming the β-steps and the weight spent,
+    when reduction does not finish within `fuel` (a looping machine), and
+    OracleMismatchError when the outputs differ.
     """
     if io_alphabet is None:
         io_alphabet = Alphabet(s for s in m.alphabet if s != m.blank)
     program = build_function(m, io_alphabet)
     outcome = normalize(App(program, encode_string(io_alphabet, u)), LEFTMOST, fuel)
     if not outcome.normalized:
-        raise FuelExhausted(f"compiled machine did not halt within {fuel} steps")
+        raise FuelExhausted(f"compiled machine did not halt within {fuel} β-steps "
+                            f"(weight {outcome.trace.total_cost})")
     decoded = decode_string(io_alphabet, outcome.term)
     oracle = simulate_tm(m, u, fuel)
     if not oracle.halted:

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -38,6 +40,21 @@ def terms(draw, max_size=14, free_pool=("a", "b", "c")):
 def single_free_terms(draw, max_size=14):
     """Terms with at most one distinct free name (codec round-trip domain)."""
     return draw(terms(max_size=max_size, free_pool=("v",)))
+
+
+@contextlib.contextmanager
+def within_a_second():
+    """Fail, rather than hang, when the body runs for more than a second."""
+    def expire(signum, frame):
+        raise AssertionError("took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

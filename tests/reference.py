@@ -6,9 +6,11 @@ that the tests can check those machines against something simpler.
 """
 
 from cbvcost import (
-    ARG, FUN, Abs, App, BoundVar, InvalidPositionError, Term, XiValue, is_redex,
+    ARG, FUN, Abs, App, BoundVar, CostTrace, InvalidPositionError, ReductionOutcome,
+    Term, XiValue, is_redex,
 )
 from cbvcost.machine_r import A_LAM, F_APP, S_APP
+from cbvcost.reduction import Zipper
 from cbvcost.theta import APP, LAM, MARK
 
 Position = tuple[str, ...]
@@ -53,6 +55,18 @@ def subterm_at(t: Term, path: Position) -> Term:
             raise InvalidPositionError("path leaves the term")
         node = node.fun if step == FUN else node.arg
     return node
+
+
+def zipper_leftmost(t: Term, fuel: int) -> ReductionOutcome:
+    """Leftmost reduction by substitution: fire redex #0 of a Zipper until
+    no redex is left or `fuel` steps are spent."""
+    trace = CostTrace(t.size)
+    z = Zipper(t)
+    for _ in range(fuel):
+        if z.n_redexes == 0:
+            return ReductionOutcome(z.term(), trace, True)
+        trace.steps.append(z.fire(0))
+    return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
 
 
 def enumerate_closed_terms(max_size: int) -> list[Term]:

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DECLARATION_FAULTS, terms
+from reference import zipper_leftmost
 
 from cbvcost import bench
 from cbvcost.cli import PRINT_LIMIT, main
-from cbvcost.encodings import church_numeral
-from cbvcost.terms import print_term
+from cbvcost.encodings import Alphabet, church_numeral, encode_string
+from cbvcost.terms import App, print_term
 from cbvcost.theta import encode_theta, theta_to_ascii
-from cbvcost.turing import EVEN_PALINDROME_SPEC, FLIP_SPEC
+from cbvcost.turing import EVEN_PALINDROME_SPEC, FLIP_SPEC, build_function, parse_tm
 
 
 @pytest.fixture
@@ -296,6 +297,18 @@ def test_run_tm_out_of_fuel_reports_its_steps(tmp_path, capsys):
     path.write_text(FLIP_SPEC.replace("q0 _ -> qf _ S", "q0 _ -> q0 _ S"))
     assert main(["run-tm", str(path), "011", "--fuel", "10"]) == 2
     assert capsys.readouterr().out == "machine did not halt within 10 steps\nsteps: 10\n"
+
+
+def test_compile_tm_out_of_fuel_names_its_steps_and_weight(tmp_path, capsys):
+    loop = FLIP_SPEC.replace("q0 _ -> qf _ S", "q0 _ -> q0 _ S")
+    path = tmp_path / "loop.tm"
+    path.write_text(loop)
+    assert main(["compile-tm", str(path), "011", "--fuel", "2000"]) == 2
+    io_alphabet = Alphabet("01")
+    term = App(build_function(parse_tm(loop), io_alphabet), encode_string(io_alphabet, "011"))
+    weight = zipper_leftmost(term, 2000).trace.total_cost
+    assert capsys.readouterr().err == (
+        f"error: compiled machine did not halt within 2000 β-steps (weight {weight})\n")
 
 
 def test_normalize_prints_the_size_of_a_huge_normal_form(capsys):

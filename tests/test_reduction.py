@@ -2,15 +2,19 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbvcost import (
-    Abs, App, BoundVar, FreeVar, InvalidPositionError,
-    church_numeral, normalize, parse_term, random_closed_term, redex_path,
+    Abs, Alphabet, App, BoundVar, FreeVar, InvalidPositionError, ap,
+    build_function, church_numeral, encode_string, even_palindrome_machine,
+    flip_machine, normalize, parse_term, random_closed_term, redex_path,
     size, step_at, time_of, write_trace_csv,
 )
 from cbvcost.reduction import Zipper
 
-from reference import enumerate_closed_terms, find_redexes, subterm_at
+from conftest import terms, within_a_second
+from reference import enumerate_closed_terms, find_redexes, subterm_at, zipper_leftmost
 
 OMEGA = parse_term(r"(\x.x x)(\x.x x)")
 
@@ -230,3 +234,93 @@ def test_random_strategy_reproducible():
     a = normalize(t, "random", seed=123)
     b = normalize(t, "random", seed=123)
     assert [s.position for s in a.trace.steps] == [s.position for s in b.trace.steps]
+
+
+# --- leftmost `normalize` against the substituting engine --------------------
+#
+# `normalize` runs leftmost reduction on a closure machine that builds no
+# reduct; every outcome (term, initial size, each step's position, cost and
+# size, normalized) must equal that of firing redex #0 on a Zipper.
+
+def _same_outcome(t, fuel):
+    got, want = normalize(t, "leftmost", fuel), zipper_leftmost(t, fuel)
+    assert got.trace.steps == want.trace.steps
+    assert got == want
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms(max_size=24), st.sampled_from((1, 2, 3, 50)))
+def test_leftmost_equals_the_zipper_on_open_terms(t, fuel):
+    _same_outcome(t, fuel)
+
+
+def test_leftmost_equals_the_zipper_on_seeded_corpora():
+    rng = random.Random(11)
+    for _ in range(1500):
+        t = random_closed_term(rng, rng.choice((12, 20, 30)))
+        for fuel in (1, 2, 3, 50):
+            outcome = _same_outcome(t, fuel)
+        if outcome.normalized and outcome.steps > 1:
+            # out of fuel exactly at, and one short of, the last step
+            assert _same_outcome(t, outcome.steps).normalized
+            assert not _same_outcome(t, outcome.steps - 1).normalized
+
+
+def test_leftmost_equals_the_zipper_on_growth_terms():
+    for n in range(4, 14):
+        assert _same_outcome(growth_term(n), 100_000).normalized
+
+
+@pytest.mark.parametrize("machine", [flip_machine, even_palindrome_machine])
+def test_leftmost_equals_the_zipper_on_compiled_machines(machine):
+    io_alphabet = Alphabet("01")
+    program = build_function(machine(), io_alphabet)
+    rng = random.Random(3)
+    for bits in (8, 40):
+        half = "".join(rng.choice("01") for _ in range(bits // 2))
+        t = App(program, encode_string(io_alphabet, half + half[::-1]))
+        outcome = _same_outcome(t, 1_000_000)
+        assert outcome.normalized
+        if bits == 8:
+            _same_outcome(t, outcome.steps // 2)
+
+
+def test_leftmost_shares_a_doubling_normal_form():
+    # D = \x.\k.k x x: the normal form has 6 * 2^60 - 4 nodes in print and
+    # about 120 in memory
+    text = r"\z.z"
+    for _ in range(60):
+        text = rf"(\x.\k.k x x) ({text})"
+    t = parse_term(text)
+    with within_a_second():
+        outcome = _same_outcome(t, 1000)
+    assert outcome.term.size == 6 * 2 ** 60 - 4
+    with within_a_second():
+        _same_outcome(t, 30)
+
+
+def test_leftmost_reads_back_a_deep_chain():
+    # K (K (... (K a))): values nest as deep as the chain, and so do the
+    # frames and the positions; 1200 is past Python's recursion limit
+    k = parse_term(r"\x.\y.x")
+    t = FreeVar("a")
+    for _ in range(1200):
+        t = App(k, t)
+    assert _same_outcome(t, 100_000).normalized
+    _same_outcome(t, 1)
+    # let v1 = K a in let v2 = K v1 in ... v5000: the same 5000-deep value,
+    # built by steps at the root, so that the traces stay small
+    t = BoundVar(0)
+    for _ in range(4999):
+        t = App(Abs(t), App(k, BoundVar(0)))
+    t = App(Abs(t), App(k, FreeVar("a")))
+    outcome = _same_outcome(t, 100_000)
+    assert outcome.normalized and outcome.term.size == 5000 + 1
+
+
+def test_leftmost_keeps_a_dangling_index_as_substitution_does():
+    # \y.1 has an index that no binder of its own meets; the inserted
+    # value's index is then captured by the binder it lands under
+    t = ap(parse_term(r"\x.\y.x"), Abs(BoundVar(1)), FreeVar("w"), FreeVar("q"))
+    assert _same_outcome(t, 100).term == FreeVar("w")

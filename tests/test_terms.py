@@ -1,5 +1,3 @@
-import contextlib
-import signal
 import sys
 
 import pytest
@@ -12,7 +10,7 @@ from cbvcost import (
     print_term, size, substitute_top,
 )
 
-from conftest import terms
+from conftest import terms, within_a_second
 from reference import alpha_eq, is_well_scoped
 
 I = Abs(BoundVar(0))
@@ -169,25 +167,10 @@ def _doubling_normal_form(depth):
     return outcome.term
 
 
-@contextlib.contextmanager
-def _within_a_second():
-    """Fail, rather than hang, when the body runs for more than a second."""
-    def expire(signum, frame):
-        raise AssertionError("took more than 1 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_equality_is_linear_in_the_shared_dag():
     a, b = _doubling_normal_form(60), _doubling_normal_form(60)
     assert a is not b and a.size == 6 * 2 ** 60 - 4
-    with _within_a_second():
+    with within_a_second():
         assert a == b
 
 
@@ -204,7 +187,7 @@ def test_terms_differing_at_one_deep_leaf_are_unequal():
     a = _doubled(BoundVar(0), 60)
     b = _doubled(BoundVar(sys.hash_info.modulus), 60)
     assert hash(a) == hash(b) and a.size == b.size
-    with _within_a_second():
+    with within_a_second():
         assert a != b
         assert not a == b
         assert _doubled(BoundVar(0), 60) == a
@@ -217,5 +200,5 @@ def test_a_shared_node_is_compared_with_each_partner():
     a = App(t, t)
     b = App(_doubled(BoundVar(sys.hash_info.modulus), 60), _doubled(BoundVar(0), 60))
     assert hash(a) == hash(b)
-    with _within_a_second():
+    with within_a_second():
         assert a != b
