@@ -4,12 +4,12 @@ Subcommands: normalize, run-tm, compile-tm, machine-r, encode, bench.
 Exit codes: 0 success, 1 malformed input (including a machine file that
 cannot be read, is not UTF-8 or is malformed, reported with its name, and
 an `--out` that cannot be written), usage error or failed suite
-assertion, 2 fuel exhausted (the run still prints its counters and
-writes --out), 3 cross-check mismatch.  Each command runs straight
-through; `main` alone maps the exceptions in `_EXIT_CODES` to codes, and
-any other exception is a bug and propagates.  All randomness is drawn
-from --seed, so outputs (including CSV files) are byte-identical across
-runs.
+assertion, 2 fuel exhausted or, for machine-r, tape budget exhausted (the
+run still prints its counters and writes --out), 3 cross-check mismatch.
+Each command runs straight through; `main` alone maps the exceptions in
+`_EXIT_CODES` to codes, and any other exception is a bug and propagates.
+All randomness is drawn from --seed, so outputs (including CSV files) are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 
 from . import bench
 from .encodings import Alphabet, church_numeral, encode_string
-from .machine_r import MachineRError, mr_normalize
+from .machine_r import TAPE_LIMIT, MachineRError, mr_normalize
 from .reduction import STRATEGIES, normalize, write_trace_csv
 from .terms import TermError, free_names, parse_term, print_term
 from .theta import encode_theta, theta_to_ascii
@@ -125,8 +125,10 @@ def cmd_machine_r(args) -> int:
     if result.normalized:
         out = result.theta
         print(f"output: {_capped(len(out), 'symbols', lambda: theta_to_ascii(out))}")
-    else:
+    elif result.reason == "fuel":
         print(f"no normal form within {args.fuel} iterations")
+    else:
+        print(f"no normal form within the tape limit of {TAPE_LIMIT} symbols")
     print(f"iterations: {len(result.iterations)}")
     print(f"tape operations: {result.op_count}")
     if args.out:

@@ -16,15 +16,33 @@ Counter.  Each iteration performs one normalization step of the calculus:
 Abstractions are scanned only for their extent, never for redexes inside,
 which is exactly the no-reduction-under-λ discipline.  The operation
 counter charges one unit per single-symbol read, write, push or pop; that
-proxy is the "machine step" used by every report.  A pass charges a whole
-copied subterm, and the binary Counter's arithmetic, in closed form: the
-count equals the symbol-by-symbol one, which the tests keep as the
-reference.
+proxy is the "machine step" used by every report.
+
+The counter is the machine's; the Python work behind it is done on whole
+tapes.  Every tape is a `str`, written with slices and joins.  A pass
+charges each copied subterm and the binary Counter's arithmetic in closed
+form.  The find pass steps over one structural token at a time (an @, a
+▶ with its digits, or a whole abstraction) and resumes where the last
+iteration changed Current.  The substitute pass replays a plan memoized
+per Functional string.  Each count equals the symbol-by-symbol one;
+`tests/reference.py` keeps both the symbol-by-symbol machine and the
+closed-form passes on list tapes that this module replaced, and the tests
+run all three in lockstep.
+
+A run has a tape budget: `mr_normalize` stops, with reason "tape_limit",
+before an iteration that would write a Current longer than `tape_limit`
+symbols.  Every other tape is a piece of Current or of the next one, so
+the budget bounds the memory of a run.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 from .theta import APP, LAM, MARK, canonical_theta, decode_theta
 
@@ -36,9 +54,27 @@ S_APP = "S"   # pending second argument of an application
 FOUND = "found"
 NO_REDEX = "no_redex"
 
+# the default tape budget, in symbols: 66x the longest Current of compiled
+# FLIP on 8 bits (3,959), 4x the 65,531-symbol normal form of D nested 13
+# deep; D nested 16 deep (a 260-character input) stops on it
+TAPE_LIMIT = 1 << 18
+
+# how many substitution plans a run keeps, oldest dropped first
+PLAN_MEMO_SIZE = 256
+
+_DIGITS = re.compile("[01]*")
+# whole tokens: where a run of them stops, a symbol-by-symbol copy faults
+_TOKENS = re.compile("(?:[λ@]|▶[01]*)*")
+# the frame each symbol of a run pushes on StackRedex
+_FRAMES = str.maketrans({LAM: A_LAM, APP: F_APP})
+
 
 class MachineRError(Exception):
     pass
+
+
+class TapeLimitReached(MachineRError):
+    """A pass would write a Current longer than the run's tape budget."""
 
 
 @dataclass
@@ -48,84 +84,91 @@ class IterationStats:
     ops: int
 
 
+class _Scan(NamedTuple):
+    """Where a find pass found its redex: the Current it read, the position
+    of the redex's @, and before each top-level token it read a checkpoint
+    (the token's start, ops so far, structure stack)."""
+    current: str
+    fired: int
+    checkpoints: list[tuple[int, int, str]]
+
+
+class _Plan(NamedTuple):
+    """A substitution with the Argument left out: the Reduct is
+    `argument.join(segments)` and the charge `ops + 2 * |argument| *
+    occurrences`.  `stack` and `counter` are the tapes the pass leaves."""
+    segments: list[str]
+    ops: int
+    occurrences: int
+    stack: str
+    counter: str
+
+
 @dataclass
 class MachineRState:
-    current: list[str]
-    preredex: list[str] = field(default_factory=list)
-    functional: list[str] = field(default_factory=list)
-    argument: list[str] = field(default_factory=list)
-    postredex: list[str] = field(default_factory=list)
-    reduct: list[str] = field(default_factory=list)
-    stack_term: list[str] = field(default_factory=list)
-    stack_redex: list[str] = field(default_factory=list)
-    counter: list[str] = field(default_factory=list)
+    current: str
+    preredex: str = ""
+    functional: str = ""
+    argument: str = ""
+    postredex: str = ""
+    reduct: str = ""
+    stack_term: str = ""
+    stack_redex: str = ""
+    counter: str = ""
     op_count: int = 0
     iterations: list[IterationStats] = field(default_factory=list)
-
-    # counted single-symbol tape operations
-    def read(self, tape: list[str], i: int) -> str:
-        self.op_count += 1
-        return tape[i]
-
-    def write(self, tape: list[str], sym: str) -> None:
-        self.op_count += 1
-        tape.append(sym)
-
-    def push(self, stack: list[str], sym: str) -> None:
-        self.op_count += 1
-        stack.append(sym)
+    tape_limit: int = TAPE_LIMIT
+    # the last find pass's checkpoints, and the substitution plans by Functional
+    scan: _Scan | None = field(default=None, repr=False)
+    plans: dict[str, _Plan] = field(default_factory=dict, repr=False)
 
 
-def _close(state: MachineRState, stack: list[str]) -> int:
+def _close(stack: str) -> tuple[str, int, str]:
     """The counted ▶ on a structure stack: pop S and A frames until an F
     becomes S or the stack empties, one operation per pop and push.
-    Returns how many A frames (abstraction bodies) it closed."""
-    closed = 0
-    ops = 0
-    while stack:
-        top = stack.pop()
-        ops += 1
-        if top == F_APP:
-            stack.append(S_APP)
-            ops += 1
-            break
-        if top == A_LAM:
-            closed += 1
-    state.op_count += ops
-    return closed
+    Returns the new stack, the operations and the S and A frames popped."""
+    i = stack.rfind(F_APP)
+    if i < 0:
+        return "", len(stack), stack
+    return stack[:i] + S_APP, len(stack) - i + 1, stack[i + 1:]
 
 
-def _copy_subterm(state: MachineRState, start: int, dest: list[str]) -> int:
-    """Copy one complete subterm of Current starting at `start` into `dest`
-    and return its end.  `need` counts the subterms still to read: @ adds
-    one, ▶ and its digits complete one.  The charge is that of the copy
-    through StackRedex, empty before and after: a read and a write per
-    symbol, per @ a push and a pop of F and of S, per λ of A.
-    """
-    cur = state.current
-    n = len(cur)
-    need = 1
-    apps = lams = 0
+@lru_cache(maxsize=128)
+def _runs(k: int) -> re.Pattern:
+    """k runs of λ and @, each ended by a ▶ and its digits."""
+    return re.compile(f"(?:[λ@]*▶[01]*){{{k}}}")
+
+
+def _copy(tape: str, start: int) -> tuple[int, int]:
+    """The end of the complete subterm of `tape` that starts at `start`,
+    and the charge of copying it through StackRedex, empty before and
+    after: a read and a write per symbol, per @ a push and a pop of F and
+    of S, per λ of A.
+
+    `need` counts the subterms still to read: each ▶ completes one and
+    each @ adds one, so a round reads `need` marks at once and then owes
+    one subterm per @ it read."""
+    count = tape.count
     pos = start
+    need = 1
+    apps = 0
     while need:
-        if pos >= n:
-            raise MachineRError("truncated subterm on Current")
-        sym = cur[pos]
-        pos += 1
-        if sym == APP:
-            need += 1
-            apps += 1
-        elif sym == LAM:
-            lams += 1
-        elif sym == MARK:
-            need -= 1
-            while pos < n and cur[pos] in "01":
-                pos += 1
-        else:
-            raise MachineRError(f"unexpected symbol {sym!r} at a subterm boundary")
-    dest.extend(cur[start:pos])
-    state.op_count += 2 * (pos - start) + 4 * apps + 2 * lams
-    return pos
+        m = _runs(need).match(tape, pos)
+        if m is None:
+            raise _copy_fault(tape, start)
+        need = count(APP, pos, m.end())
+        apps += need
+        pos = m.end()
+    return pos, 2 * (pos - start) + 4 * apps + 2 * count(LAM, start, pos)
+
+
+def _copy_fault(tape: str, start: int) -> MachineRError:
+    """The fault a symbol-by-symbol copy from `start` meets on a tape that
+    holds no complete subterm there."""
+    end = _TOKENS.match(tape, start).end()
+    if end == len(tape):
+        return MachineRError("truncated subterm on Current")
+    return MachineRError(f"unexpected symbol {tape[end]!r} at a subterm boundary")
 
 
 def find_redex_pass(state: MachineRState) -> str:
@@ -135,40 +178,137 @@ def find_redex_pass(state: MachineRState) -> str:
     at reassembly), Functional holds the abstraction, Argument the argument
     and Postredex the rest.  NO_REDEX leaves Current unchanged and erases
     the scan scratch.
+
+    A scan resumes from the last one's checkpoints when Current still
+    starts as the last one did up to the fired @.  The token that starts
+    last before that @ is read again: an abstraction there looks at the
+    symbol after it, where the reduct now begins.  The charge is that of
+    the scan from the start.
     """
     cur = state.current
     n = len(cur)
-    st = state.stack_term
-    pos = 0
+    pos, ops, stack = 0, 0, ""
+    checkpoints: list[tuple[int, int, str]] = []
+    last, state.scan = state.scan, None
+    if last is not None and cur[:last.fired] == last.current[:last.fired]:
+        i = bisect_left(last.checkpoints, last.fired, key=itemgetter(0)) - 1
+        if i >= 0:
+            checkpoints = last.checkpoints
+            pos, ops, stack = checkpoints[i]
+            del checkpoints[i:]
     while pos < n:
-        sym = state.read(cur, pos)
+        checkpoints.append((pos, ops, stack))
+        sym = cur[pos]
         if sym == LAM:
             # every abstraction is copied wholesale: no redexes inside count
-            in_fun_position = bool(st) and st[-1] == F_APP
-            end = _copy_subterm(state, pos, state.functional)
-            nxt = state.read(cur, end) if end < n else ""
-            if in_fun_position and nxt in (LAM, MARK):
-                arg_end = _copy_subterm(state, end, state.argument)
-                state.postredex.extend(cur[arg_end:])
-                state.op_count += 2 * (n - arg_end)
-                return FOUND
+            end, charge = _copy(cur, pos)
+            ops += 1 + charge
+            if end < n:
+                ops += 1  # read the symbol after it
+                if stack.endswith(F_APP) and cur[end] in (LAM, MARK):
+                    arg_end, charge = _copy(cur, end)
+                    ops += charge + 2 * (n - arg_end)
+                    state.preredex = cur[:pos]
+                    state.functional = cur[pos:end]
+                    state.argument = cur[end:arg_end]
+                    state.postredex = cur[arg_end:]
+                    state.stack_term = stack
+                    state.op_count += ops
+                    state.scan = _Scan(cur, pos - 1, checkpoints)
+                    return FOUND
             # completed non-redex subterm: move it out and fold the stack
-            state.preredex.extend(state.functional)
-            state.op_count += 2 * len(state.functional)
-            state.functional.clear()
-            _close(state, st)  # net stack effect of a whole subterm
+            stack, closing, _ = _close(stack)
+            ops += 2 * (end - pos) + closing
+            pos = end
+        elif sym == APP:
+            stack += F_APP
+            ops += 3  # read, write, push
+            pos += 1
+        elif sym == MARK:
+            end = _DIGITS.match(cur, pos + 1).end()
+            stack, closing, _ = _close(stack)
+            ops += 2 * (end - pos) + closing
             pos = end
         else:
-            state.write(state.preredex, sym)
-            if sym == APP:
-                state.push(st, F_APP)
-            elif sym == MARK:
-                _close(state, st)
+            ops += 2  # read, write
             pos += 1
-    state.op_count += len(state.preredex) + len(st)
-    state.preredex.clear()
-    st.clear()
+    # Preredex holds all of Current; erase it and the stack
+    state.preredex = state.stack_term = ""
+    state.op_count += ops + n + len(stack)
     return NO_REDEX
+
+
+def _make_plan(fn: str, stack: str) -> _Plan:
+    """The substitution of Functional `fn`, with StackRedex starting as
+    `stack`, one ▶ token at a time.  Between two marks lies a run of λ and
+    @, each read, written and pushed.  Counting the Counter up from 0 to d
+    visits 2d - popcount(d) digits (`flips` below), so the increments of a
+    run and the decrements of a close cost the difference of two such
+    counts; a decrement also drops the leading zero at each power of two
+    from 2 up."""
+    pieces = fn.split(MARK)  # "λ" and a run, then per ▶: digits and a run
+    segments = []
+    literal = 1  # start of the literal segment being read
+    occurrences = 0
+    d = flips = 0
+    ops = 2  # read (and erase) the leading λ, set the Counter to 0
+    pos = -1  # the ▶ before the piece
+    for piece in pieces:
+        if pos >= 0:
+            run = piece.lstrip("01")
+            digits = len(piece) - len(run)
+            width = d.bit_length() or 1
+            ops += 2 + digits + min(width, digits)  # reads; compare
+            if digits == width and piece[:digits] == format(d, "b"):
+                segments.append(fn[literal:pos])
+                literal = pos + 1 + digits
+                occurrences += 1
+            else:
+                ops += 1 + digits  # write
+            # closing abstraction bodies lowers the depth counter
+            stack, closing, popped = _close(stack)
+            closed = popped.count(A_LAM)
+            if closed > d:
+                raise MachineRError("depth counter underflow")
+            ops += closing
+            if closed:
+                e = d - closed
+                down = 2 * e - e.bit_count()
+                # and the leading zeros dropped at 2, 4, 8, ... in (e, d]
+                ops += flips - down + d.bit_length() - max(e, 1).bit_length()
+                d, flips = e, down
+        else:
+            run = piece[1:]
+        lams = run.count(LAM)
+        if lams + run.count(APP) != len(run):
+            bad = next(sym for sym in run if sym not in (LAM, APP))
+            raise MachineRError(f"unexpected symbol {bad!r} on Functional")
+        stack += run.translate(_FRAMES)
+        ops += 3 * len(run)  # read, write, push
+        if lams:
+            d += lams
+            up = 2 * d - d.bit_count()
+            ops += up - flips
+            flips = up
+        pos += len(piece) + 1
+    segments.append(fn[literal:])
+    return _Plan(segments, ops, occurrences, stack, format(d, "b"))
+
+
+def _plan(state: MachineRState) -> _Plan:
+    """The plan of the state's Functional, memoized when StackRedex starts
+    empty, as it does in every run."""
+    fn = state.functional
+    if state.stack_redex:
+        return _make_plan(fn, state.stack_redex)
+    plans = state.plans
+    plan = plans.get(fn)
+    if plan is None:
+        plan = _make_plan(fn, "")
+        if len(plans) >= PLAN_MEMO_SIZE:
+            del plans[next(iter(plans))]
+        plans[fn] = plan
+    return plan
 
 
 def substitute_pass(state: MachineRState) -> MachineRState:
@@ -179,54 +319,22 @@ def substitute_pass(state: MachineRState) -> MachineRState:
     increment visits d's trailing ones and one more digit, a decrement its
     trailing zeros and one more, plus the leading zero it drops when d >= 2
     is a power of two; comparing with an index visits the shorter digit
-    string and one more."""
-    fn = state.functional
-    n = len(fn)
-    if not fn or fn[0] != LAM:
+    string and one more.
+
+    Raises TapeLimitReached, and writes nothing, when Preredex ++ Reduct ++
+    Postredex would be longer than `state.tape_limit`."""
+    if not state.functional.startswith(LAM):
         raise MachineRError("Functional does not start with an abstraction")
-    reduct = state.reduct
-    sr = state.stack_redex
-    d = 0
-    ops = 2  # read (and erase) the leading λ, set the Counter to 0
-    pos = 1
-    while pos < n:
-        sym = fn[pos]
-        if sym == LAM:
-            reduct.append(sym)
-            sr.append(A_LAM)
-            ops += 3 + (~d & (d + 1)).bit_length()  # read, write, push; increment
-            d += 1
-            pos += 1
-        elif sym == APP:
-            reduct.append(sym)
-            sr.append(F_APP)
-            ops += 3  # read, write, push
-            pos += 1
-        elif sym == MARK:
-            dend = pos + 1
-            while dend < n and fn[dend] in "01":
-                dend += 1
-            digits = "".join(fn[pos + 1:dend])
-            depth = format(d, "b")
-            ops += dend - pos + min(len(depth), len(digits)) + 1  # reads; compare
-            if digits == depth:
-                reduct.extend(state.argument)
-                ops += 2 * len(state.argument)  # read and write
-            else:
-                reduct.extend(fn[pos:dend])
-                ops += dend - pos
-            pos = dend
-            # closing abstraction bodies lowers the depth counter
-            for _ in range(_close(state, sr)):
-                if d == 0:
-                    raise MachineRError("depth counter underflow")
-                low = d & -d
-                ops += low.bit_length() + (d > 1 and low == d)
-                d -= 1
-        else:
-            raise MachineRError(f"unexpected symbol {sym!r} on Functional")
-    state.counter[:] = format(d, "b")
-    state.op_count += ops
+    plan = _plan(state)
+    arg = state.argument
+    length = (sum(map(len, plan.segments)) + plan.occurrences * len(arg)
+              + len(state.preredex) - 1 + len(state.postredex))
+    if length > state.tape_limit:
+        raise TapeLimitReached(f"Current would be {length} symbols long")
+    state.reduct = arg.join(plan.segments)
+    state.stack_redex = plan.stack
+    state.counter = plan.counter
+    state.op_count += plan.ops + 2 * len(arg) * plan.occurrences
     return state
 
 
@@ -237,17 +345,14 @@ def reassemble_pass(state: MachineRState) -> MachineRState:
     node; it disappears with the redex.
     """
     pre = state.preredex
-    if not pre or pre[-1] != APP:
+    if not pre.endswith(APP):
         raise MachineRError("Preredex does not end with the redex's application")
-    pre.pop()
-    state.op_count += 1
-    state.current[:] = pre + state.reduct + state.postredex
-    state.op_count += 2 * len(state.current)
-    for tape in (state.preredex, state.functional, state.argument,
-                 state.postredex, state.reduct, state.stack_term,
-                 state.stack_redex, state.counter):
-        state.op_count += len(tape)
-        tape.clear()
+    state.current = pre[:-1] + state.reduct + state.postredex
+    state.op_count += 2 * len(state.current) + sum(map(len, (
+        pre, state.functional, state.argument, state.postredex, state.reduct,
+        state.stack_term, state.stack_redex, state.counter)))  # pop the @, erase
+    state.preredex = state.functional = state.argument = state.postredex = ""
+    state.reduct = state.stack_term = state.stack_redex = state.counter = ""
     return state
 
 
@@ -256,32 +361,42 @@ class MachineRResult:
     theta: str
     op_count: int
     iterations: list[IterationStats]
-    normalized: bool
+    reason: str  # "normal", "fuel" or "tape_limit"
+
+    @property
+    def normalized(self) -> bool:
+        return self.reason == "normal"
 
 
-def mr_normalize(theta: str, fuel_iterations: int = 100_000) -> MachineRResult:
-    """Iterate steps 1-4 until no redex remains or the iteration fuel is
-    spent; a normal form left by the last iteration counts.
+def mr_normalize(theta: str, fuel_iterations: int = 100_000,
+                 tape_limit: int = TAPE_LIMIT) -> MachineRResult:
+    """Iterate steps 1-4 until no redex remains, the iteration fuel is
+    spent, or an iteration would write a Current longer than `tape_limit`
+    symbols; a normal form left by the last iteration counts.
 
     Input may use the unicode or the ASCII spelling; it is validated (arity
     and index scoping) before the machine starts.
     """
     if fuel_iterations <= 0:
         raise ValueError("fuel must be positive")
+    if tape_limit <= 0:
+        raise ValueError("tape limit must be positive")
     s = canonical_theta(theta)
     decode_theta(s)  # reject malformed input up front
-    state = MachineRState(current=list(s))
+    state = MachineRState(current=s, tape_limit=tape_limit)
     for _ in range(fuel_iterations):
         tl_before = len(state.current)
         ops_before = state.op_count
         if find_redex_pass(state) == NO_REDEX:
-            return MachineRResult("".join(state.current), state.op_count,
-                                  state.iterations, True)
-        substitute_pass(state)
+            return MachineRResult(state.current, state.op_count, state.iterations, "normal")
+        try:
+            substitute_pass(state)
+        except TapeLimitReached:
+            return MachineRResult(state.current, state.op_count, state.iterations,
+                                  "tape_limit")
         reassemble_pass(state)
         state.iterations.append(IterationStats(tl_before, len(state.current),
                                                state.op_count - ops_before))
     # the find pass every normalized run ends with, charged as such
-    normalized = find_redex_pass(state) == NO_REDEX
-    return MachineRResult("".join(state.current), state.op_count,
-                          state.iterations, normalized)
+    reason = "normal" if find_redex_pass(state) == NO_REDEX else "fuel"
+    return MachineRResult(state.current, state.op_count, state.iterations, reason)

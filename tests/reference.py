@@ -5,11 +5,13 @@ machines measured against it; the whole-term helpers below exist only so
 that the tests can check those machines against something simpler.
 """
 
+from dataclasses import dataclass, field
+
 from cbvcost import (
     ARG, FUN, Abs, App, BoundVar, CostTrace, InvalidPositionError, ReductionOutcome,
     Term, XiValue, is_redex,
 )
-from cbvcost.machine_r import A_LAM, F_APP, S_APP
+from cbvcost.machine_r import A_LAM, F_APP, FOUND, NO_REDEX, S_APP, MachineRError
 from cbvcost.reduction import Zipper
 from cbvcost.theta import APP, LAM, MARK
 
@@ -125,6 +127,322 @@ def stack_update(stack, symbol: str) -> list[str]:
     else:
         raise ValueError(f"not a tape symbol: {symbol!r}")
     return out
+
+
+# --- machine-r on list tapes ------------------------------------------------
+#
+# Two references for cbvcost.machine_r, which works on whole string tapes.
+# Both keep every tape as a list of symbols.  The closed-form passes
+# (`find_redex_pass`, `substitute_pass`) walk the tapes one symbol at a
+# time but charge a copied subterm and the depth Counter's arithmetic in
+# closed form.  The symbol-by-symbol passes (`ref_find_redex_pass`,
+# `ref_substitute_pass`) charge every read, write, push and pop, and every
+# Counter digit visited, one operation each.  Both must leave the same tapes
+# and the same op_count as the machine.
+
+@dataclass
+class ListState:
+    current: list[str]
+    preredex: list[str] = field(default_factory=list)
+    functional: list[str] = field(default_factory=list)
+    argument: list[str] = field(default_factory=list)
+    postredex: list[str] = field(default_factory=list)
+    reduct: list[str] = field(default_factory=list)
+    stack_term: list[str] = field(default_factory=list)
+    stack_redex: list[str] = field(default_factory=list)
+    counter: list[str] = field(default_factory=list)
+    op_count: int = 0
+
+    # counted single-symbol tape operations
+    def read(self, tape: list[str], i: int) -> str:
+        self.op_count += 1
+        return tape[i]
+
+    def write(self, tape: list[str], sym: str) -> None:
+        self.op_count += 1
+        tape.append(sym)
+
+    def push(self, stack: list[str], sym: str) -> None:
+        self.op_count += 1
+        stack.append(sym)
+
+
+def close(state: ListState, stack: list[str]) -> int:
+    """The counted ▶ on a structure stack: pop S and A frames until an F
+    becomes S or the stack empties, one operation per pop and push.
+    Returns how many A frames (abstraction bodies) it closed."""
+    closed = 0
+    ops = 0
+    while stack:
+        top = stack.pop()
+        ops += 1
+        if top == F_APP:
+            stack.append(S_APP)
+            ops += 1
+            break
+        if top == A_LAM:
+            closed += 1
+    state.op_count += ops
+    return closed
+
+
+def copy_subterm(state: ListState, start: int, dest: list[str]) -> int:
+    """Copy one complete subterm of Current starting at `start` into `dest`
+    and return its end.  `need` counts the subterms still to read: @ adds
+    one, ▶ and its digits complete one.  The charge is that of the copy
+    through StackRedex, empty before and after: a read and a write per
+    symbol, per @ a push and a pop of F and of S, per λ of A.
+    """
+    cur = state.current
+    n = len(cur)
+    need = 1
+    apps = lams = 0
+    pos = start
+    while need:
+        if pos >= n:
+            raise MachineRError("truncated subterm on Current")
+        sym = cur[pos]
+        pos += 1
+        if sym == APP:
+            need += 1
+            apps += 1
+        elif sym == LAM:
+            lams += 1
+        elif sym == MARK:
+            need -= 1
+            while pos < n and cur[pos] in "01":
+                pos += 1
+        else:
+            raise MachineRError(f"unexpected symbol {sym!r} at a subterm boundary")
+    dest.extend(cur[start:pos])
+    state.op_count += 2 * (pos - start) + 4 * apps + 2 * lams
+    return pos
+
+
+def find_redex_pass(state: ListState, copy=copy_subterm) -> str:
+    """Step 1 with every abstraction copied by `copy`."""
+    cur = state.current
+    n = len(cur)
+    st = state.stack_term
+    pos = 0
+    while pos < n:
+        sym = state.read(cur, pos)
+        if sym == LAM:
+            # every abstraction is copied wholesale: no redexes inside count
+            in_fun_position = bool(st) and st[-1] == F_APP
+            end = copy(state, pos, state.functional)
+            nxt = state.read(cur, end) if end < n else ""
+            if in_fun_position and nxt in (LAM, MARK):
+                arg_end = copy(state, end, state.argument)
+                state.postredex.extend(cur[arg_end:])
+                state.op_count += 2 * (n - arg_end)
+                return FOUND
+            # completed non-redex subterm: move it out and fold the stack
+            state.preredex.extend(state.functional)
+            state.op_count += 2 * len(state.functional)
+            state.functional.clear()
+            close(state, st)  # net stack effect of a whole subterm
+            pos = end
+        else:
+            state.write(state.preredex, sym)
+            if sym == APP:
+                state.push(st, F_APP)
+            elif sym == MARK:
+                close(state, st)
+            pos += 1
+    state.op_count += len(state.preredex) + len(st)
+    state.preredex.clear()
+    st.clear()
+    return NO_REDEX
+
+
+def substitute_pass(state: ListState) -> ListState:
+    """Step 2, the Counter charged in closed form: an increment visits d's
+    trailing ones and one more digit, a decrement its trailing zeros and one
+    more, plus the leading zero it drops when d >= 2 is a power of two;
+    comparing with an index visits the shorter digit string and one more."""
+    fn = state.functional
+    n = len(fn)
+    if not fn or fn[0] != LAM:
+        raise MachineRError("Functional does not start with an abstraction")
+    reduct = state.reduct
+    sr = state.stack_redex
+    d = 0
+    ops = 2  # read (and erase) the leading λ, set the Counter to 0
+    pos = 1
+    while pos < n:
+        sym = fn[pos]
+        if sym == LAM:
+            reduct.append(sym)
+            sr.append(A_LAM)
+            ops += 3 + (~d & (d + 1)).bit_length()  # read, write, push; increment
+            d += 1
+            pos += 1
+        elif sym == APP:
+            reduct.append(sym)
+            sr.append(F_APP)
+            ops += 3  # read, write, push
+            pos += 1
+        elif sym == MARK:
+            dend = pos + 1
+            while dend < n and fn[dend] in "01":
+                dend += 1
+            digits = "".join(fn[pos + 1:dend])
+            depth = format(d, "b")
+            ops += dend - pos + min(len(depth), len(digits)) + 1  # reads; compare
+            if digits == depth:
+                reduct.extend(state.argument)
+                ops += 2 * len(state.argument)  # read and write
+            else:
+                reduct.extend(fn[pos:dend])
+                ops += dend - pos
+            pos = dend
+            # closing abstraction bodies lowers the depth counter
+            for _ in range(close(state, sr)):
+                if d == 0:
+                    raise MachineRError("depth counter underflow")
+                low = d & -d
+                ops += low.bit_length() + (d > 1 and low == d)
+                d -= 1
+        else:
+            raise MachineRError(f"unexpected symbol {sym!r} on Functional")
+    state.counter[:] = format(d, "b")
+    state.op_count += ops
+    return state
+
+
+def reassemble_pass(state: ListState) -> ListState:
+    """Steps 3 and 4: Current := Preredex ++ Reduct ++ Postredex, rest erased."""
+    pre = state.preredex
+    if not pre or pre[-1] != APP:
+        raise MachineRError("Preredex does not end with the redex's application")
+    pre.pop()
+    state.op_count += 1
+    state.current[:] = pre + state.reduct + state.postredex
+    state.op_count += 2 * len(state.current)
+    for tape in (state.preredex, state.functional, state.argument,
+                 state.postredex, state.reduct, state.stack_term,
+                 state.stack_redex, state.counter):
+        state.op_count += len(tape)
+        tape.clear()
+    return state
+
+
+def ref_copy_subterm(state: ListState, start: int, dest: list[str]) -> int:
+    cur = state.current
+    n = len(cur)
+    sr = state.stack_redex
+    pos = start
+    while True:
+        if pos >= n:
+            raise MachineRError("truncated subterm on Current")
+        sym = state.read(cur, pos)
+        state.write(dest, sym)
+        pos += 1
+        if sym == APP:
+            state.push(sr, F_APP)
+        elif sym == LAM:
+            state.push(sr, A_LAM)
+        elif sym == MARK:
+            close(state, sr)
+            while pos < n and cur[pos] in "01":
+                state.write(dest, state.read(cur, pos))
+                pos += 1
+            if not sr:
+                return pos
+        else:
+            raise MachineRError(f"unexpected symbol {sym!r} at a subterm boundary")
+
+
+def ref_counter_inc(state: ListState) -> None:
+    c = state.counter
+    i = len(c) - 1
+    while i >= 0:
+        state.op_count += 1
+        if c[i] == "0":
+            c[i] = "1"
+            return
+        c[i] = "0"
+        i -= 1
+    c.insert(0, "1")
+    state.op_count += 1
+
+
+def ref_counter_dec(state: ListState) -> None:
+    c = state.counter
+    i = len(c) - 1
+    while i >= 0:
+        state.op_count += 1
+        if c[i] == "1":
+            c[i] = "0"
+            break
+        c[i] = "1"
+        i -= 1
+    else:
+        raise MachineRError("depth counter underflow")
+    if len(c) > 1 and c[0] == "0":
+        c.pop(0)
+        state.op_count += 1
+
+
+def ref_counter_equals(state: ListState, digits: str) -> bool:
+    c = state.counter
+    state.op_count += min(len(c), len(digits)) + 1
+    if len(c) != len(digits):
+        return False
+    return all(a == b for a, b in zip(c, digits))
+
+
+def ref_find_redex_pass(state: ListState) -> str:
+    return find_redex_pass(state, ref_copy_subterm)
+
+
+def ref_substitute_pass(state: ListState) -> ListState:
+    fn = state.functional
+    n = len(fn)
+    if not fn or fn[0] != LAM:
+        raise MachineRError("Functional does not start with an abstraction")
+    state.op_count += 1
+    state.counter[:] = ["0"]
+    state.op_count += 1
+    sr = state.stack_redex
+    pos = 1
+    while pos < n:
+        sym = state.read(fn, pos)
+        if sym == LAM:
+            state.write(state.reduct, sym)
+            state.push(sr, A_LAM)
+            ref_counter_inc(state)
+            pos += 1
+        elif sym == APP:
+            state.write(state.reduct, sym)
+            state.push(sr, F_APP)
+            pos += 1
+        elif sym == MARK:
+            dstart = pos + 1
+            dend = dstart
+            while dend < n and fn[dend] in "01":
+                dend += 1
+            digits = "".join(fn[dstart:dend])
+            state.op_count += dend - dstart
+            if ref_counter_equals(state, digits):
+                state.reduct.extend(state.argument)
+                state.op_count += 2 * len(state.argument)
+            else:
+                state.write(state.reduct, MARK)
+                for d in digits:
+                    state.write(state.reduct, d)
+            pos = dend
+            for _ in range(close(state, sr)):
+                ref_counter_dec(state)
+        else:
+            raise MachineRError(f"unexpected symbol {sym!r} on Functional")
+    return state
+
+
+# (find, substitute, reassemble) of each reference
+CLOSED_FORM = (find_redex_pass, substitute_pass, reassemble_pass)
+SYMBOL_BY_SYMBOL = (ref_find_redex_pass, ref_substitute_pass, reassemble_pass)
 
 
 # --- the applicative structure ------------------------------------------------

@@ -13,6 +13,7 @@ from reference import zipper_leftmost
 from cbvcost import bench
 from cbvcost.cli import PRINT_LIMIT, main
 from cbvcost.encodings import Alphabet, church_numeral, encode_string
+from cbvcost.machine_r import TAPE_LIMIT
 from cbvcost.terms import App, print_term
 from cbvcost.theta import encode_theta, theta_to_ascii
 from cbvcost.turing import EVEN_PALINDROME_SPEC, FLIP_SPEC, build_function, parse_tm
@@ -423,6 +424,25 @@ def test_machine_r_prints_the_size_of_a_huge_output(capsys):
     assert "iterations: 13" in lines
     assert "tape operations: 1383672" in lines
     assert "engine cross-check: ok" in lines
+
+
+def test_machine_r_stops_at_the_tape_limit_like_out_of_fuel(tmp_path, capsys):
+    # D nested 16 deep: 260 input characters whose normal form would be
+    # 524,283 symbols long; the 15th iteration would write 262,150
+    term = r"\z.z"
+    for _ in range(16):
+        term = rf"(\x.\k.k x x) ({term})"
+    assert len(term) == 260
+    out = tmp_path / "iters.csv"
+    assert main(["machine-r", term, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:2] == [f"no normal form within the tape limit of {TAPE_LIMIT} symbols",
+                         "iterations: 14"]
+    assert lines[2].startswith("tape operations: ")
+    assert "engine cross-check: ok" not in lines
+    assert len(out.read_text().splitlines()) == 1 + 14
 
 
 # --- fuzzing main ------------------------------------------------------------

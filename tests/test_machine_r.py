@@ -3,18 +3,31 @@ import random
 import pytest
 
 from cbvcost import (
-    A_LAM, App, FreeVar, F_APP, FOUND, NO_REDEX, S_APP,
+    A_LAM, Alphabet, App, FreeVar, F_APP, FOUND, NO_REDEX,
     MachineRError, MachineRState, MalformedThetaError,
-    decode_theta, encode_theta, find_redex_pass, mr_normalize, normalize,
-    parse_term, random_closed_term, reassemble_pass, step_at, substitute_pass,
+    build_function, decode_theta, encode_string, encode_theta, find_redex_pass,
+    flip_machine, mr_normalize, normalize, parse_term, random_closed_term,
+    reassemble_pass, step_at, substitute_pass,
 )
 from cbvcost import machine_r
-from cbvcost.machine_r import _close, _copy_subterm
 
-from reference import find_redexes, stack_update
+import reference
+from reference import (
+    CLOSED_FORM, SYMBOL_BY_SYMBOL, ListState, copy_subterm, find_redexes,
+    ref_copy_subterm, stack_update,
+)
 
 RUNNING = parse_term(r"(\x.\y.x y y)(\z.z)(\w.w)")
 RUNNING_THETA = "@@λλ@@▶1▶0▶0λ▶0λ▶0"
+
+
+def d_depth(k: int) -> str:
+    """D = \\x.\\k.k x x nested k deep around \\z.z: the normal form doubles
+    with every level."""
+    term = r"\z.z"
+    for _ in range(k):
+        term = rf"(\x.\k.k x x) ({term})"
+    return encode_theta(parse_term(term))
 
 
 def test_running_example_encoding():
@@ -26,9 +39,9 @@ def test_stack_update_table():
     expected = [
         [F_APP],
         [F_APP, A_LAM],
-        [S_APP],
-        [S_APP],
-        [S_APP, A_LAM],
+        ["S"],
+        ["S"],
+        ["S", A_LAM],
         [],
         [],
     ]
@@ -44,18 +57,19 @@ def test_stack_update_mark_on_empty_stack():
 def test_stack_update_push_rules():
     assert stack_update([F_APP], "@") == [F_APP, F_APP]
     assert stack_update([F_APP], "λ") == [F_APP, A_LAM]
-    assert stack_update([S_APP, A_LAM, F_APP, S_APP, A_LAM], "▶") == [S_APP, A_LAM, S_APP]
+    assert stack_update(["S", A_LAM, F_APP, "S", A_LAM], "▶") == ["S", A_LAM, "S"]
 
 
 def test_counted_fold_matches_stack_update():
-    # push/_close is the counted form of stack_update: same stack after every
-    # prefix, one operation per pop and push, and _close returns the number
-    # of abstraction frames it popped
+    # push/close is the counted form of stack_update: same stack after every
+    # prefix, one operation per pop and push, and close returns the number
+    # of abstraction frames it popped; the machine's close on a string stack
+    # agrees with both
     rng = random.Random(11)
     strings = [RUNNING_THETA] + [encode_theta(random_closed_term(rng, 20))
                                  for _ in range(200)]
     for theta in strings:
-        state = MachineRState(current=[])
+        state = ListState(current=[])
         stack = []
         spec = []
         for sym in theta:
@@ -66,7 +80,10 @@ def test_counted_fold_matches_stack_update():
             elif sym == "λ":
                 state.push(stack, A_LAM)
             elif sym == "▶":
-                closed = _close(state, stack)
+                kept, ops, popped = machine_r._close("".join(stack))
+                closed = reference.close(state, stack)
+                assert (kept, ops, popped.count(A_LAM)) == (
+                    "".join(stack), state.op_count - before, closed)
             new_spec = stack_update(spec, sym)
             assert stack == new_spec
             if sym in "@λ":
@@ -85,49 +102,49 @@ def test_counted_fold_matches_stack_update():
 
 
 def test_find_redex_fills_tapes_like_the_worked_example():
-    state = MachineRState(current=list(RUNNING_THETA))
+    state = MachineRState(current=RUNNING_THETA)
     assert find_redex_pass(state) == FOUND
-    assert "".join(state.preredex) == "@@"
-    assert "".join(state.functional) == "λλ@@▶1▶0▶0"
-    assert "".join(state.argument) == "λ▶0"
-    assert "".join(state.postredex) == "λ▶0"
+    assert state.preredex == "@@"
+    assert state.functional == "λλ@@▶1▶0▶0"
+    assert state.argument == "λ▶0"
+    assert state.postredex == "λ▶0"
 
 
 def test_find_redex_on_value_halts():
-    state = MachineRState(current=list("λ▶0"))
+    state = MachineRState(current="λ▶0")
     assert find_redex_pass(state) == NO_REDEX
-    assert "".join(state.current) == "λ▶0"
+    assert state.current == "λ▶0"
     assert not state.preredex and not state.stack_term
 
 
 def test_find_redex_skips_bodies_of_abstractions():
     # \x.(\y.y) x is a normal form: the inner application sits under a binder
-    state = MachineRState(current=list(encode_theta(parse_term(r"\x.(\y.y) x"))))
+    state = MachineRState(current=encode_theta(parse_term(r"\x.(\y.y) x")))
     assert find_redex_pass(state) == NO_REDEX
 
 
 def test_find_redex_picks_inner_when_outer_argument_is_not_a_value():
     t = parse_term(r"(\x.x)((\y.y)(\z.z))")
-    state = MachineRState(current=list(encode_theta(t)))
+    state = MachineRState(current=encode_theta(t))
     assert find_redex_pass(state) == FOUND
-    assert "".join(state.preredex) == "@λ▶0@"
-    assert "".join(state.functional) == "λ▶0"
-    assert "".join(state.argument) == "λ▶0"
-    assert "".join(state.postredex) == ""
+    assert state.preredex == "@λ▶0@"
+    assert state.functional == "λ▶0"
+    assert state.argument == "λ▶0"
+    assert state.postredex == ""
 
 
 def test_substitute_pass_running_example():
-    state = MachineRState(current=list(RUNNING_THETA))
+    state = MachineRState(current=RUNNING_THETA)
     find_redex_pass(state)
     substitute_pass(state)
-    assert "".join(state.reduct) == "λ@@λ▶0▶0▶0"
+    assert state.reduct == "λ@@λ▶0▶0▶0"
 
 
 def test_substitute_pass_identity_redex():
-    state = MachineRState(current=list("@λ▶0λ▶0"))
+    state = MachineRState(current="@λ▶0λ▶0")
     find_redex_pass(state)
     substitute_pass(state)
-    assert "".join(state.reduct) == "λ▶0"
+    assert state.reduct == "λ▶0"
 
 
 def test_substitute_pass_agrees_with_engine_substitution(rng):
@@ -138,41 +155,41 @@ def test_substitute_pass_agrees_with_engine_substitution(rng):
         if paths != [()]:
             continue  # keep root redexes so tapes line up exactly
         checked += 1
-        state = MachineRState(current=list(encode_theta(t)))
+        state = MachineRState(current=encode_theta(t))
         assert find_redex_pass(state) == FOUND
         substitute_pass(state)
         reduct, _ = step_at(t, ())
-        assert "".join(state.reduct) == encode_theta(reduct)
+        assert state.reduct == encode_theta(reduct)
     assert checked > 30
 
 
 def test_reassemble_running_example():
-    state = MachineRState(current=list(RUNNING_THETA))
+    state = MachineRState(current=RUNNING_THETA)
     find_redex_pass(state)
     substitute_pass(state)
     reassemble_pass(state)
-    assert "".join(state.current) == "@λ@@λ▶0▶0▶0λ▶0"
+    assert state.current == "@λ@@λ▶0▶0▶0λ▶0"
     for tape in (state.preredex, state.functional, state.argument,
                  state.postredex, state.reduct, state.stack_term,
                  state.stack_redex, state.counter):
-        assert tape == []
+        assert tape == ""
 
 
 def test_reassemble_root_redex_is_just_the_reduct():
-    state = MachineRState(current=list("@λ▶0λ▶0"))
+    state = MachineRState(current="@λ▶0λ▶0")
     find_redex_pass(state)
     substitute_pass(state)
     pre_len = len(state.preredex) - 1  # the redex's @ is discarded
     red_len = len(state.reduct)
     post_len = len(state.postredex)
     reassemble_pass(state)
-    assert "".join(state.current) == "λ▶0"
+    assert state.current == "λ▶0"
     assert len(state.current) == pre_len + red_len + post_len
 
 
 def test_mr_normalize_identity_application():
     result = mr_normalize("@λ▶0λ▶0")
-    assert result.normalized
+    assert result.normalized and result.reason == "normal"
     assert result.theta == "λ▶0"
     assert len(result.iterations) == 1
 
@@ -188,7 +205,7 @@ def test_mr_normalize_running_example_matches_engine():
 def test_mr_normalize_divergent_exhausts_fuel():
     omega = encode_theta(parse_term(r"(\x.x x)(\x.x x)"))
     result = mr_normalize(omega, fuel_iterations=25)
-    assert not result.normalized
+    assert not result.normalized and result.reason == "fuel"
     assert len(result.iterations) == 25
 
 
@@ -216,6 +233,8 @@ def test_mr_normalize_rejects_malformed_input():
         mr_normalize("@λ▶0")
     with pytest.raises(MalformedThetaError):
         mr_normalize("λµ0")
+    with pytest.raises(ValueError, match="tape limit must be positive"):
+        mr_normalize("λ▶0", tape_limit=0)
 
 
 def test_mr_normalize_accepts_ascii():
@@ -257,176 +276,201 @@ def test_iteration_records_and_op_accounting():
     assert result.op_count >= sum(it.ops for it in result.iterations)
 
 
-# --- the symbol-by-symbol reference for the closed-form charges -------------
+# --- the tape budget -----------------------------------------------------------
+
+def test_tape_limit_stops_a_doubling_run():
+    # D nested 16 deep: 260 input characters, a normal form of 524,283
+    # symbols; each iteration doubles Current
+    theta = d_depth(16)
+    small = mr_normalize(theta, tape_limit=10_000)
+    assert small.reason == "tape_limit" and not small.normalized
+    assert max(it.tl_after for it in small.iterations) <= 10_000
+    # the stop is an ordinary prefix of a run under a larger budget
+    large = mr_normalize(theta, tape_limit=100_000)
+    assert large.reason == "tape_limit"
+    k = len(small.iterations)
+    assert large.iterations[:k] == small.iterations
+    assert len(large.iterations) > k
+    assert small.theta == mr_normalize(theta, fuel_iterations=k).theta
+    # the default budget stops it too, before Current passes 2^18 symbols
+    default = mr_normalize(theta)
+    assert default.reason == "tape_limit"
+    assert max(it.tl_after for it in default.iterations) <= machine_r.TAPE_LIMIT
+
+
+def test_tape_limit_charges_the_last_find_pass():
+    # the stopped iteration ran its find pass and nothing else; a Current of
+    # exactly tape_limit symbols is within the budget
+    theta = d_depth(6)
+    free = mr_normalize(theta)
+    k = 3
+    limit = free.iterations[k].tl_after
+    assert mr_normalize(theta, tape_limit=limit).iterations == free.iterations[:k + 1]
+    stopped = mr_normalize(theta, tape_limit=limit - 1)
+    assert stopped.reason == "tape_limit"
+    assert stopped.iterations == free.iterations[:k]
+    state = MachineRState(current=stopped.theta)
+    assert find_redex_pass(state) == FOUND
+    assert stopped.op_count == sum(it.ops for it in stopped.iterations) + state.op_count
+
+
+# --- lockstep with the references --------------------------------------------
 #
-# The machine charges a copied subterm and the depth-counter arithmetic in
-# closed form.  These are the symbol-by-symbol versions it replaced: every
-# read, write, push and pop, and every counter digit visited, costs one
-# operation.  The machine must leave the same tapes and the same op_count.
-
-def ref_copy_subterm(state, start, dest):
-    cur = state.current
-    n = len(cur)
-    sr = state.stack_redex
-    pos = start
-    while True:
-        if pos >= n:
-            raise MachineRError("truncated subterm on Current")
-        sym = state.read(cur, pos)
-        state.write(dest, sym)
-        pos += 1
-        if sym == "@":
-            state.push(sr, F_APP)
-        elif sym == "λ":
-            state.push(sr, A_LAM)
-        elif sym == "▶":
-            _close(state, sr)
-            while pos < n and cur[pos] in "01":
-                state.write(dest, state.read(cur, pos))
-                pos += 1
-            if not sr:
-                return pos
-        else:
-            raise MachineRError(f"unexpected symbol {sym!r} at a subterm boundary")
-
-
-def ref_counter_inc(state):
-    c = state.counter
-    i = len(c) - 1
-    while i >= 0:
-        state.op_count += 1
-        if c[i] == "0":
-            c[i] = "1"
-            return
-        c[i] = "0"
-        i -= 1
-    c.insert(0, "1")
-    state.op_count += 1
-
-
-def ref_counter_dec(state):
-    c = state.counter
-    i = len(c) - 1
-    while i >= 0:
-        state.op_count += 1
-        if c[i] == "1":
-            c[i] = "0"
-            break
-        c[i] = "1"
-        i -= 1
-    else:
-        raise MachineRError("depth counter underflow")
-    if len(c) > 1 and c[0] == "0":
-        c.pop(0)
-        state.op_count += 1
-
-
-def ref_counter_equals(state, digits):
-    c = state.counter
-    state.op_count += min(len(c), len(digits)) + 1
-    if len(c) != len(digits):
-        return False
-    return all(a == b for a, b in zip(c, digits))
-
-
-def ref_substitute_pass(state):
-    fn = state.functional
-    n = len(fn)
-    if not fn or fn[0] != "λ":
-        raise MachineRError("Functional does not start with an abstraction")
-    state.op_count += 1
-    state.counter[:] = ["0"]
-    state.op_count += 1
-    sr = state.stack_redex
-    pos = 1
-    while pos < n:
-        sym = state.read(fn, pos)
-        if sym == "λ":
-            state.write(state.reduct, sym)
-            state.push(sr, A_LAM)
-            ref_counter_inc(state)
-            pos += 1
-        elif sym == "@":
-            state.write(state.reduct, sym)
-            state.push(sr, F_APP)
-            pos += 1
-        elif sym == "▶":
-            dstart = pos + 1
-            dend = dstart
-            while dend < n and fn[dend] in "01":
-                dend += 1
-            digits = "".join(fn[dstart:dend])
-            state.op_count += dend - dstart
-            if ref_counter_equals(state, digits):
-                state.reduct.extend(state.argument)
-                state.op_count += 2 * len(state.argument)
-            else:
-                state.write(state.reduct, "▶")
-                for d in digits:
-                    state.write(state.reduct, d)
-            pos = dend
-            for _ in range(_close(state, sr)):
-                ref_counter_dec(state)
-        else:
-            raise MachineRError(f"unexpected symbol {sym!r} on Functional")
-    return state
-
-
-def ref_find_redex_pass(state, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(machine_r, "_copy_subterm", ref_copy_subterm)
-        return find_redex_pass(state)
-
+# The machine works on whole string tapes; tests/reference.py keeps the
+# closed-form passes on list tapes it replaced and the symbol-by-symbol
+# passes those replaced.  All three must leave the same tapes and op_count
+# after every pass.
 
 def tapes(state):
-    return (state.current, state.preredex, state.functional, state.argument,
-            state.postredex, state.reduct, state.stack_term, state.stack_redex,
-            state.counter, state.op_count)
+    """The nine tapes as strings, and op_count."""
+    return tuple("".join(tape) for tape in (
+        state.current, state.preredex, state.functional, state.argument,
+        state.postredex, state.reduct, state.stack_term, state.stack_redex,
+        state.counter)) + (state.op_count,)
 
 
-def run_in_lockstep(theta, monkeypatch, iterations, max_length):
-    """Run the machine and the reference side by side on one string; the
+MACHINE = (find_redex_pass, substitute_pass, reassemble_pass)
+
+
+def run_in_lockstep(theta, iterations, max_length, state=None):
+    """Run the machine and both references side by side on one string; the
     tapes and op_count must agree after every pass.  Returns the most
     abstractions a Functional held below its erased binder."""
-    state = MachineRState(current=list(theta))
-    ref = MachineRState(current=list(theta))
+    runs = [(state or MachineRState(current=theta), MACHINE),
+            (ListState(current=list(theta)), CLOSED_FORM),
+            (ListState(current=list(theta)), SYMBOL_BY_SYMBOL)]
+    machine = runs[0][0]
     most = 0
     for _ in range(iterations):
-        found = find_redex_pass(state)
-        assert ref_find_redex_pass(ref, monkeypatch) == found
-        assert tapes(state) == tapes(ref)
-        if found == NO_REDEX:
+        found = {find(s) for s, (find, _, _) in runs}
+        assert len({tapes(s) for s, _ in runs}) == 1
+        if found == {NO_REDEX}:
             break
-        most = max(most, state.functional.count("λ") - 1)
-        substitute_pass(state)
-        ref_substitute_pass(ref)
-        assert tapes(state) == tapes(ref)
-        reassemble_pass(state)
-        reassemble_pass(ref)
-        assert tapes(state) == tapes(ref)
-        if len(state.current) > max_length:
+        assert found == {FOUND}
+        most = max(most, machine.functional.count("λ") - 1)
+        for step in (1, 2):
+            for s, passes in runs:
+                passes[step](s)
+            assert len({tapes(s) for s, _ in runs}) == 1
+        if len(machine.current) > max_length:
             break
     return most
 
 
-def test_closed_form_charges_match_the_reference_on_random_terms(monkeypatch):
+def test_closed_form_charges_match_the_reference_on_random_terms():
     rng = random.Random(5)
     for i in range(3000):
         t = random_closed_term(rng, rng.choice((8, 14, 20, 28)))
         if i % 3 == 0:
             t = App(t, FreeVar("c"))  # a bare ▶: an index with no digits
-        run_in_lockstep(encode_theta(t), monkeypatch, iterations=25, max_length=400)
+        run_in_lockstep(encode_theta(t), iterations=25, max_length=400)
 
 
 @pytest.mark.parametrize("k", range(1, 41))
-def test_closed_form_charges_match_the_reference_under_deep_binders(k, monkeypatch):
+def test_closed_form_charges_match_the_reference_under_deep_binders(k):
     # \x.\a1...\ak. x ak ... a1 nests k binders under the erased one, so the
     # counter counts up to k and back: carries and borrows cross 8, 16, 32.
     # Every Functional of this family nests all its abstractions.
     binders = "".join(f"\\a{i}." for i in range(1, k + 1))
     body = " ".join(f"a{i}" for i in range(k, 0, -1))
     t = parse_term(f"(\\x.{binders} x {body}) (\\y.y) (\\u.\\v.u)")
-    assert run_in_lockstep(encode_theta(t), monkeypatch, 10, 10_000) == k
+    assert run_in_lockstep(encode_theta(t), 10, 10_000) == k
+
+
+def test_the_machine_matches_the_references_on_compiled_flip():
+    io = Alphabet("01")
+    program = build_function(flip_machine(), io)
+    for u in ("01", "10"):
+        theta = encode_theta(App(program, encode_string(io, u)))
+        result = mr_normalize(theta)
+        assert result.normalized
+        run_in_lockstep(theta, len(result.iterations) + 1, 10_000)
+
+
+def test_the_next_redex_left_of_the_fired_application():
+    # (\f.f) ((\x.x) (\y.y)): the inner redex fires first; its reduct is a
+    # value, which turns the abstraction right before the fired @ into the
+    # function of the next redex
+    theta = encode_theta(parse_term(r"(\f.f) ((\x.x) (\y.y))"))
+    state = MachineRState(current=theta)
+    assert find_redex_pass(state) == FOUND
+    fired = len(state.preredex) - 1
+    substitute_pass(state)
+    reassemble_pass(state)
+    assert find_redex_pass(state) == FOUND
+    assert len(state.preredex) - 1 < fired
+    assert (state.functional, state.argument) == ("λ▶0", "λ▶0")
+    run_in_lockstep(theta, 5, 100)
+
+
+def _splice(rng, s):
+    """`s` with a short stretch replaced by a few random symbols."""
+    i = rng.randrange(len(s) + 1)
+    j = min(len(s), i + rng.randrange(4))
+    return s[:i] + "".join(rng.choice("λ@▶01") for _ in range(rng.randrange(4))) + s[j:]
+
+
+def _outcome(state):
+    try:
+        before = state.op_count
+        found = find_redex_pass(state)
+    except MachineRError as e:
+        return str(e)
+    return found, tapes(state)[1:-1], state.op_count - before
+
+
+def test_find_pass_on_an_edited_current_equals_a_fresh_scan():
+    # the resumed scan trusts only what still reads as before up to the
+    # fired @; an edit anywhere, before or after it, must give exactly the
+    # scan from the start, faults included
+    rng = random.Random(3)
+    edited = 0
+    for _ in range(400):
+        theta = encode_theta(random_closed_term(rng, 20))
+        state = MachineRState(current=theta)
+        if find_redex_pass(state) != FOUND:
+            continue
+        substitute_pass(state)
+        reassemble_pass(state)
+        for new in (_splice(rng, state.current), state.current[:-1], theta):
+            scan = state.scan._replace(checkpoints=list(state.scan.checkpoints))
+            again = MachineRState(current=new, scan=scan, op_count=state.op_count)
+            assert _outcome(again) == _outcome(MachineRState(current=new))
+            edited += 1
+    assert edited > 700
+
+
+def test_one_functional_with_two_arguments(monkeypatch):
+    # \x.x is substituted for f, then applied to \a.a and to \b.\c.b: the
+    # second substitution replays the first one's plan with a new Argument
+    planned = []
+    make_plan = machine_r._make_plan
+    monkeypatch.setattr(machine_r, "_make_plan",
+                        lambda fn, stack: planned.append(fn) or make_plan(fn, stack))
+    text = r"(\f.(\u.\v.v) (f (\a.a)) (f (\b.\c.b))) (\x.x)"
+    theta = encode_theta(parse_term(text))
+    seen = []
+    state = MachineRState(current=theta)
+    while find_redex_pass(state) == FOUND:
+        seen.append((state.functional, state.argument))
+        substitute_pass(state)
+        reassemble_pass(state)
+    assert ("λ▶0", "λ▶0") in seen and ("λ▶0", "λλ▶1") in seen
+    assert planned.count("λ▶0") == 1
+    assert state.current == encode_theta(normalize(parse_term(text), "leftmost").term)
+    run_in_lockstep(theta, 10, 100)
+
+
+def test_more_functionals_than_the_plan_memo_holds(monkeypatch):
+    monkeypatch.setattr(machine_r, "PLAN_MEMO_SIZE", 2)
+    io = Alphabet("01")
+    theta = encode_theta(App(build_function(flip_machine(), io), encode_string(io, "1")))
+    state = MachineRState(current=theta)
+    run_in_lockstep(theta, 10_000, 10_000, state)
+    assert len(state.plans) == 2
+    bounded = mr_normalize(theta)
+    monkeypatch.setattr(machine_r, "PLAN_MEMO_SIZE", 10_000)
+    assert mr_normalize(theta) == bounded
 
 
 def test_copy_subterm_matches_the_reference_at_every_start():
@@ -436,11 +480,12 @@ def test_copy_subterm_matches_the_reference_at_every_start():
         for start, sym in enumerate(theta):
             if sym in "01":
                 continue
-            state = MachineRState(current=list(theta))
-            ref = MachineRState(current=list(theta))
-            assert _copy_subterm(state, start, state.functional) == \
-                ref_copy_subterm(ref, start, ref.functional)
+            state = ListState(current=list(theta))
+            ref = ListState(current=list(theta))
+            end = copy_subterm(state, start, state.functional)
+            assert end == ref_copy_subterm(ref, start, ref.functional)
             assert tapes(state) == tapes(ref)
+            assert machine_r._copy(theta, start) == (end, state.op_count)
 
 
 @pytest.mark.parametrize("current, message", [
@@ -449,11 +494,12 @@ def test_copy_subterm_matches_the_reference_at_every_start():
     ("λ0▶0", "unexpected symbol '0'"),
     ("λ@▶0x", "unexpected symbol 'x'"),
 ])
-def test_copy_subterm_errors(current, message, monkeypatch):
+def test_copy_subterm_errors(current, message):
     with pytest.raises(MachineRError, match=message):
-        find_redex_pass(MachineRState(current=list(current)))
-    with pytest.raises(MachineRError, match=message):
-        ref_find_redex_pass(MachineRState(current=list(current)), monkeypatch)
+        find_redex_pass(MachineRState(current=current))
+    for find, _, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL):
+        with pytest.raises(MachineRError, match=message):
+            find(ListState(current=list(current)))
 
 
 @pytest.mark.parametrize("functional, stack, message", [
@@ -464,8 +510,12 @@ def test_copy_subterm_errors(current, message, monkeypatch):
     ("@λ▶0", [], "does not start with an abstraction"),
 ])
 def test_substitute_pass_errors(functional, stack, message):
-    for substitute in (substitute_pass, ref_substitute_pass):
-        state = MachineRState(current=[], functional=list(functional),
-                              argument=list("λ▶0"), stack_redex=list(stack))
+    state = MachineRState(current="", functional=functional, argument="λ▶0",
+                          stack_redex="".join(stack))
+    with pytest.raises(MachineRError, match=message):
+        substitute_pass(state)
+    for _, substitute, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL):
+        state = ListState(current=[], functional=list(functional),
+                          argument=list("λ▶0"), stack_redex=list(stack))
         with pytest.raises(MachineRError, match=message):
             substitute(state)

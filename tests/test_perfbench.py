@@ -9,7 +9,7 @@ and uninstalled in-process; nothing under perfbench/ is written.
 import importlib.util
 import pathlib
 
-from cbvcost import bench, encodings, machine_r, parse_term, reduction, theta, turing
+from cbvcost import bench, encodings, machine_r, parse_term, reduction, terms, theta, turing
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -37,3 +37,28 @@ def test_tracer_installs_and_uninstalls_every_wrap():
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_traced_machine_r_passes_add_up_to_the_run():
+    # the pinned per-pass ops of mr_flip are only meaningful if the three
+    # passes carry every operation of a run, and the find pass runs once per
+    # iteration plus the last scan that sees the normal form
+    io_alphabet = encodings.Alphabet("01")
+    program = turing.build_function(turing.flip_machine(), io_alphabet)
+    string = theta.encode_theta(
+        terms.App(program, encodings.encode_string(io_alphabet, "01")))
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        result = machine_r.mr_normalize(string)
+    finally:
+        tracer.uninstall()
+    assert result.normalized
+    layers = tracer.layer_metrics()
+    passes = ("find_redex_pass", "substitute_pass", "reassemble_pass")
+    assert sum(layers[f"machine_r.{p}.ops"] for p in passes) == result.op_count
+    iterations = len(result.iterations)
+    assert layers["machine_r.mr_normalize.iterations"] == iterations > 100
+    assert tracer.calls["machine_r.find_redex_pass"] == iterations + 1
+    assert tracer.calls["machine_r.substitute_pass"] == iterations
+    assert tracer.calls["machine_r.reassemble_pass"] == iterations
