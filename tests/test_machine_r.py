@@ -519,3 +519,32 @@ def test_substitute_pass_errors(functional, stack, message):
                           argument=list("λ▶0"), stack_redex=list(stack))
         with pytest.raises(MachineRError, match=message):
             substitute(state)
+
+
+def _pass_outcome(run, state):
+    """The tapes and op_count a pass leaves, or the message of its fault."""
+    try:
+        run(state)
+    except MachineRError as e:
+        return str(e)
+    return tapes(state)
+
+
+def test_passes_on_arbitrary_tapes_agree_with_the_references():
+    # strings over the alphabet and one foreign symbol, most of them no
+    # term: both passes leave the references' tapes or raise their fault
+    rng = random.Random(13)
+    symbols = "λλ@@▶▶01x"
+    for _ in range(3000):
+        current = "".join(rng.choice(symbols) for _ in range(rng.randrange(1, 16)))
+        functional = "λ" + "".join(rng.choice(symbols) for _ in range(rng.randrange(13)))
+        stack = "".join(rng.choice("AFS") for _ in range(rng.choice((0, 0, 1, 2))))
+        want = {_pass_outcome(find, ListState(current=list(current)))
+                for find, _, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL)}
+        assert want == {_pass_outcome(find_redex_pass, MachineRState(current=current))}
+        want = {_pass_outcome(substitute, ListState(
+                    current=[], functional=list(functional), argument=list("λ▶0"),
+                    stack_redex=list(stack)))
+                for _, substitute, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL)}
+        assert want == {_pass_outcome(substitute_pass, MachineRState(
+            current="", functional=functional, argument="λ▶0", stack_redex=stack))}
