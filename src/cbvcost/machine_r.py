@@ -38,10 +38,8 @@ the budget bounds the memory of a run.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .theta import APP, LAM, MARK, canonical_theta, decode_theta
@@ -85,11 +83,11 @@ class IterationStats:
 
 
 class _Scan(NamedTuple):
-    """Where a find pass found its redex: the Current it read, the position
-    of the redex's @, and before each top-level token it read a checkpoint
-    (the token's start, ops so far, structure stack)."""
-    current: str
-    fired: int
+    """What a find pass that found a redex read: Current up to the redex's
+    @, and before each top-level token a checkpoint (the token's start, ops
+    so far, structure stack).  The last two tokens are that @ and the
+    abstraction after it."""
+    prefix: str
     checkpoints: list[tuple[int, int, str]]
 
 
@@ -156,9 +154,10 @@ def _copy(tape: str, start: int) -> tuple[int, int]:
         m = _runs(need).match(tape, pos)
         if m is None:
             raise _copy_fault(tape, start)
-        need = count(APP, pos, m.end())
+        end = m.end()
+        need = count(APP, pos, end)
         apps += need
-        pos = m.end()
+        pos = end
     return pos, 2 * (pos - start) + 4 * apps + 2 * count(LAM, start, pos)
 
 
@@ -180,22 +179,20 @@ def find_redex_pass(state: MachineRState) -> str:
     the scan scratch.
 
     A scan resumes from the last one's checkpoints when Current still
-    starts as the last one did up to the fired @.  The token that starts
-    last before that @ is read again: an abstraction there looks at the
-    symbol after it, where the reduct now begins.  The charge is that of
-    the scan from the start.
+    starts as the last one did up to the fired @.  The token before that @
+    is read again: an abstraction there looks at the symbol after it,
+    where the reduct now begins.  The charge is that of the scan from the
+    start.
     """
     cur = state.current
     n = len(cur)
     pos, ops, stack = 0, 0, ""
     checkpoints: list[tuple[int, int, str]] = []
     last, state.scan = state.scan, None
-    if last is not None and cur[:last.fired] == last.current[:last.fired]:
-        i = bisect_left(last.checkpoints, last.fired, key=itemgetter(0)) - 1
-        if i >= 0:
-            checkpoints = last.checkpoints
-            pos, ops, stack = checkpoints[i]
-            del checkpoints[i:]
+    if last is not None and len(last.checkpoints) > 2 and cur.startswith(last.prefix):
+        checkpoints = last.checkpoints
+        del checkpoints[-2:]
+        pos, ops, stack = checkpoints.pop()
     while pos < n:
         checkpoints.append((pos, ops, stack))
         sym = cur[pos]
@@ -214,7 +211,7 @@ def find_redex_pass(state: MachineRState) -> str:
                     state.postredex = cur[arg_end:]
                     state.stack_term = stack
                     state.op_count += ops
-                    state.scan = _Scan(cur, pos - 1, checkpoints)
+                    state.scan = _Scan(cur[:pos - 1], checkpoints)
                     return FOUND
             # completed non-redex subterm: move it out and fold the stack
             stack, closing, _ = _close(stack)
