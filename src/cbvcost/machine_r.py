@@ -18,12 +18,12 @@ which is exactly the no-reduction-under-λ discipline.  The operation
 counter charges one unit per single-symbol read, write, push or pop; that
 proxy is the "machine step" used by every report.
 
-The counter is the machine's; the Python work behind it is done on whole
-tapes.  Every tape is a `str`, written with slices and joins.  A pass
-charges each copied subterm and the binary Counter's arithmetic in closed
-form.  The find pass steps over one structural token at a time (an @, a
-▶ with its digits, or a whole abstraction) and resumes where the last
-iteration changed Current.  The substitute pass replays a plan memoized
+The operation count is the machine's; the Python work behind it is done
+on whole tapes.  Every tape is a `str`, written with slices and joins.
+A pass charges each copied subterm and the binary Counter's arithmetic in
+closed form.  The find pass steps over one structural token at a time
+(an @, a ▶ with its digits, or a whole abstraction) and resumes where the
+last iteration changed Current.  The substitute pass replays a plan memoized
 per Functional string.  Each count equals the symbol-by-symbol one;
 `tests/reference.py` keeps both the symbol-by-symbol machine and the
 closed-form passes on list tapes that this module replaced, and the tests
