@@ -38,8 +38,8 @@ from .turing import (
     parse_tm, project, run_compiled, simulate_tm, tm_step,
 )
 from .machine_r import (
-    A_LAM, F_APP, FOUND, NO_REDEX, S_APP, TAPE_LIMIT,
-    IterationStats, MachineRError, MachineRResult, MachineRState, TapeLimitReached,
+    A_LAM, F_APP, FOUND, NO_REDEX, S_APP,
+    IterationStats, MachineRError, MachineRResult, MachineRState,
     find_redex_pass, mr_normalize, reassemble_pass, substitute_pass,
 )
 from .pca import (

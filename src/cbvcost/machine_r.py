@@ -29,10 +29,18 @@ per Functional string.  Each count equals the symbol-by-symbol one;
 closed-form passes on list tapes that this module replaced, and the tests
 run all three in lockstep.
 
+The structure stacks are persistent linked lists of runs of frames, so a
+push takes O(1), a pop O(1) amortized, and a checkpoint shares the stack
+instead of copying it.  A pass spells a stack out as a string only at
+its end, for StackTerm or StackRedex.
+
 A run has a tape budget: `mr_normalize` stops, with reason "tape_limit",
-before an iteration that would write a Current longer than `tape_limit`
-symbols.  Every other tape is a piece of Current or of the next one, so
-the budget bounds the memory of a run.
+before an iteration that would write a Current longer than `TAPE_LIMIT`
+symbols.  Every other tape is a piece of Current or of the next one, the
+find pass keeps O(1) per top-level token of Current, and the plan memo
+holds at most `PLAN_MEMO_SIZE` plans of at most `TAPE_LIMIT` symbols in
+all.  So a run holds memory linear in the longer of its input and the
+budget.
 """
 
 from __future__ import annotations
@@ -57,7 +65,8 @@ NO_REDEX = "no_redex"
 # deep; D nested 16 deep (a 260-character input) stops on it
 TAPE_LIMIT = 1 << 18
 
-# how many substitution plans a run keeps, oldest dropped first
+# how many substitution plans a run keeps, oldest dropped first; together
+# they hold at most TAPE_LIMIT symbols of Functional and StackRedex
 PLAN_MEMO_SIZE = 256
 
 _DIGITS = re.compile("[01]*")
@@ -82,13 +91,18 @@ class IterationStats:
     ops: int
 
 
+# a structure stack: None, or (frames, end, s, below): frames[:end] and
+# then s S frames, the last on top, pushed onto the stack below
+Stack = tuple | None
+
+
 class _Scan(NamedTuple):
     """What a find pass that found a redex read: Current up to the redex's
     @, and before each top-level token a checkpoint (the token's start, ops
     so far, structure stack).  The last two tokens are that @ and the
     abstraction after it."""
     prefix: str
-    checkpoints: list[tuple[int, int, str]]
+    checkpoints: list[tuple[int, int, Stack]]
 
 
 class _Plan(NamedTuple):
@@ -115,20 +129,38 @@ class MachineRState:
     counter: str = ""
     op_count: int = 0
     iterations: list[IterationStats] = field(default_factory=list)
-    tape_limit: int = TAPE_LIMIT
-    # the last find pass's checkpoints, and the substitution plans by Functional
+    # the last find pass's checkpoints, the substitution plans by StackRedex
+    # and Functional, and the symbols of those keys
     scan: _Scan | None = field(default=None, repr=False)
-    plans: dict[str, _Plan] = field(default_factory=dict, repr=False)
+    plans: dict[tuple[str, str], _Plan] = field(default_factory=dict, repr=False)
+    plan_symbols: int = field(default=0, repr=False)
 
 
-def _close(stack: str) -> tuple[str, int, str]:
+def _close(stack: Stack) -> tuple[Stack, int, int]:
     """The counted ▶ on a structure stack: pop S and A frames until an F
     becomes S or the stack empties, one operation per pop and push.
-    Returns the new stack, the operations and the S and A frames popped."""
-    i = stack.rfind(F_APP)
-    if i < 0:
-        return "", len(stack), stack
-    return stack[:i] + S_APP, len(stack) - i + 1, stack[i + 1:]
+    Returns the new stack, the operations and the A frames popped."""
+    ops = lams = 0
+    while stack is not None:
+        frames, end, s, below = stack
+        i = frames.rfind(F_APP, 0, end)
+        if i + 1 < end:
+            lams += frames.count(A_LAM, i + 1, end)
+        if i >= 0:
+            # the frames under the F stay, with an S on top of them
+            return (frames, i, 1, below), ops + s + end - i + 1, lams
+        ops += s + end
+        stack = below
+    return None, ops, lams
+
+
+def _frames(stack: Stack) -> str:
+    """The stack as a tape, bottom frame first."""
+    chunks = []
+    while stack is not None:
+        frames, end, s, stack = stack
+        chunks.append(frames[:end] + S_APP * s)
+    return "".join(reversed(chunks))
 
 
 @lru_cache(maxsize=128)
@@ -186,8 +218,8 @@ def find_redex_pass(state: MachineRState) -> str:
     """
     cur = state.current
     n = len(cur)
-    pos, ops, stack = 0, 0, ""
-    checkpoints: list[tuple[int, int, str]] = []
+    pos, ops, stack = 0, 0, None
+    checkpoints: list[tuple[int, int, Stack]] = []
     last, state.scan = state.scan, None
     if last is not None and len(last.checkpoints) > 2 and cur.startswith(last.prefix):
         checkpoints = last.checkpoints
@@ -202,14 +234,16 @@ def find_redex_pass(state: MachineRState) -> str:
             ops += 1 + charge
             if end < n:
                 ops += 1  # read the symbol after it
-                if stack.endswith(F_APP) and cur[end] in (LAM, MARK):
+                # this pass pushes no frame but F: the top is an F unless
+                # S frames sit on it
+                if stack and not stack[2] and cur[end] in (LAM, MARK):
                     arg_end, charge = _copy(cur, end)
                     ops += charge + 2 * (n - arg_end)
                     state.preredex = cur[:pos]
                     state.functional = cur[pos:end]
                     state.argument = cur[end:arg_end]
                     state.postredex = cur[arg_end:]
-                    state.stack_term = stack
+                    state.stack_term = _frames(stack)
                     state.op_count += ops
                     state.scan = _Scan(cur[:pos - 1], checkpoints)
                     return FOUND
@@ -218,7 +252,7 @@ def find_redex_pass(state: MachineRState) -> str:
             ops += 2 * (end - pos) + closing
             pos = end
         elif sym == APP:
-            stack += F_APP
+            stack = (F_APP, 1, 0, stack)
             ops += 3  # read, write, push
             pos += 1
         elif sym == MARK:
@@ -231,19 +265,20 @@ def find_redex_pass(state: MachineRState) -> str:
             pos += 1
     # Preredex holds all of Current; erase it and the stack
     state.preredex = state.stack_term = ""
-    state.op_count += ops + n + len(stack)
+    state.op_count += ops + n + len(_frames(stack))
     return NO_REDEX
 
 
-def _make_plan(fn: str, stack: str) -> _Plan:
+def _make_plan(fn: str, tape: str) -> _Plan:
     """The substitution of Functional `fn`, with StackRedex starting as
-    `stack`, one ▶ token at a time.  Between two marks lies a run of λ and
+    `tape`, one ▶ token at a time.  Between two marks lies a run of λ and
     @, each read, written and pushed.  Counting the Counter up from 0 to d
     visits 2d - popcount(d) digits (`flips` below), so the increments of a
     run and the decrements of a close cost the difference of two such
     counts; a decrement also drops the leading zero at each power of two
     from 2 up."""
     pieces = fn.split(MARK)  # "λ" and a run, then per ▶: digits and a run
+    stack = (tape, len(tape), 0, None) if tape else None
     segments = []
     literal = 1  # start of the literal segment being read
     occurrences = 0
@@ -263,8 +298,7 @@ def _make_plan(fn: str, stack: str) -> _Plan:
             else:
                 ops += 1 + digits  # write
             # closing abstraction bodies lowers the depth counter
-            stack, closing, popped = _close(stack)
-            closed = popped.count(A_LAM)
+            stack, closing, closed = _close(stack)
             if closed > d:
                 raise MachineRError("depth counter underflow")
             ops += closing
@@ -280,7 +314,8 @@ def _make_plan(fn: str, stack: str) -> _Plan:
         if lams + run.count(APP) != len(run):
             bad = next(sym for sym in run if sym not in (LAM, APP))
             raise MachineRError(f"unexpected symbol {bad!r} on Functional")
-        stack += run.translate(_FRAMES)
+        if run:
+            stack = (run.translate(_FRAMES), len(run), 0, stack)
         ops += 3 * len(run)  # read, write, push
         if lams:
             d += lams
@@ -289,22 +324,26 @@ def _make_plan(fn: str, stack: str) -> _Plan:
             flips = up
         pos += len(piece) + 1
     segments.append(fn[literal:])
-    return _Plan(segments, ops, occurrences, stack, format(d, "b"))
+    return _Plan(segments, ops, occurrences, _frames(stack), format(d, "b"))
 
 
 def _plan(state: MachineRState) -> _Plan:
-    """The plan of the state's Functional, memoized when StackRedex starts
-    empty, as it does in every run."""
-    fn = state.functional
-    if state.stack_redex:
-        return _make_plan(fn, state.stack_redex)
+    """The plan of the state's StackRedex and Functional, memoized.  The
+    memo drops its oldest plans to keep at most PLAN_MEMO_SIZE of them and
+    at most TAPE_LIMIT symbols of keys, but always keeps the newest."""
+    key = (state.stack_redex, state.functional)
     plans = state.plans
-    plan = plans.get(fn)
+    plan = plans.get(key)
     if plan is None:
-        plan = _make_plan(fn, "")
-        if len(plans) >= PLAN_MEMO_SIZE:
-            del plans[next(iter(plans))]
-        plans[fn] = plan
+        plan = _make_plan(state.functional, state.stack_redex)
+        size = sum(map(len, key))
+        while plans and (len(plans) >= PLAN_MEMO_SIZE
+                         or state.plan_symbols + size > TAPE_LIMIT):
+            oldest = next(iter(plans))
+            del plans[oldest]
+            state.plan_symbols -= sum(map(len, oldest))
+        plans[key] = plan
+        state.plan_symbols += size
     return plan
 
 
@@ -319,14 +358,14 @@ def substitute_pass(state: MachineRState) -> MachineRState:
     string and one more.
 
     Raises TapeLimitReached, and writes nothing, when Preredex ++ Reduct ++
-    Postredex would be longer than `state.tape_limit`."""
+    Postredex would be longer than TAPE_LIMIT."""
     if not state.functional.startswith(LAM):
         raise MachineRError("Functional does not start with an abstraction")
     plan = _plan(state)
     arg = state.argument
     length = (sum(map(len, plan.segments)) + plan.occurrences * len(arg)
               + len(state.preredex) - 1 + len(state.postredex))
-    if length > state.tape_limit:
+    if length > TAPE_LIMIT:
         raise TapeLimitReached(f"Current would be {length} symbols long")
     state.reduct = arg.join(plan.segments)
     state.stack_redex = plan.stack
@@ -365,10 +404,9 @@ class MachineRResult:
         return self.reason == "normal"
 
 
-def mr_normalize(theta: str, fuel_iterations: int = 100_000,
-                 tape_limit: int = TAPE_LIMIT) -> MachineRResult:
+def mr_normalize(theta: str, fuel_iterations: int = 100_000) -> MachineRResult:
     """Iterate steps 1-4 until no redex remains, the iteration fuel is
-    spent, or an iteration would write a Current longer than `tape_limit`
+    spent, or an iteration would write a Current longer than TAPE_LIMIT
     symbols; a normal form left by the last iteration counts.
 
     Input may use the unicode or the ASCII spelling; it is validated (arity
@@ -376,11 +414,9 @@ def mr_normalize(theta: str, fuel_iterations: int = 100_000,
     """
     if fuel_iterations <= 0:
         raise ValueError("fuel must be positive")
-    if tape_limit <= 0:
-        raise ValueError("tape limit must be positive")
     s = canonical_theta(theta)
     decode_theta(s)  # reject malformed input up front
-    state = MachineRState(current=s, tape_limit=tape_limit)
+    state = MachineRState(current=s)
     for _ in range(fuel_iterations):
         tl_before = len(state.current)
         ops_before = state.op_count

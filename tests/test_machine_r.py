@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -60,11 +61,26 @@ def test_stack_update_push_rules():
     assert stack_update(["S", A_LAM, F_APP, "S", A_LAM], "▶") == ["S", A_LAM, "S"]
 
 
+def persistent(tape, rng):
+    """`tape` as a machine stack of random runs, some holding frames past
+    their end, and each run's trailing S frames sometimes held as a count."""
+    stack = None
+    i = 0
+    while i < len(tape):
+        j = min(len(tape), i + rng.randrange(1, 4))
+        run = tape[i:j]
+        frames = run.rstrip("S") if rng.randrange(2) else run
+        stack = (frames + rng.choice(("", "F", "AS")), len(frames),
+                 len(run) - len(frames), stack)
+        i = j
+    return stack
+
+
 def test_counted_fold_matches_stack_update():
     # push/close is the counted form of stack_update: same stack after every
     # prefix, one operation per pop and push, and close returns the number
-    # of abstraction frames it popped; the machine's close on a string stack
-    # agrees with both
+    # of abstraction frames it popped; the machine's close on a persistent
+    # stack agrees with both
     rng = random.Random(11)
     strings = [RUNNING_THETA] + [encode_theta(random_closed_term(rng, 20))
                                  for _ in range(200)]
@@ -80,9 +96,9 @@ def test_counted_fold_matches_stack_update():
             elif sym == "λ":
                 state.push(stack, A_LAM)
             elif sym == "▶":
-                kept, ops, popped = machine_r._close("".join(stack))
+                kept, ops, lams = machine_r._close(persistent("".join(stack), rng))
                 closed = reference.close(state, stack)
-                assert (kept, ops, popped.count(A_LAM)) == (
+                assert (machine_r._frames(kept), ops, lams) == (
                     "".join(stack), state.op_count - before, closed)
             new_spec = stack_update(spec, sym)
             assert stack == new_spec
@@ -233,8 +249,6 @@ def test_mr_normalize_rejects_malformed_input():
         mr_normalize("@λ▶0")
     with pytest.raises(MalformedThetaError):
         mr_normalize("λµ0")
-    with pytest.raises(ValueError, match="tape limit must be positive"):
-        mr_normalize("λ▶0", tape_limit=0)
 
 
 def test_mr_normalize_accepts_ascii():
@@ -278,35 +292,36 @@ def test_iteration_records_and_op_accounting():
 
 # --- the tape budget -----------------------------------------------------------
 
-def test_tape_limit_stops_a_doubling_run():
+def test_tape_limit_stops_a_doubling_run(monkeypatch):
     # D nested 16 deep: 260 input characters, a normal form of 524,283
-    # symbols; each iteration doubles Current
+    # symbols; each iteration doubles Current.  The default budget stops
+    # it before Current passes 2^18 symbols.
     theta = d_depth(16)
-    small = mr_normalize(theta, tape_limit=10_000)
-    assert small.reason == "tape_limit" and not small.normalized
+    default = mr_normalize(theta)
+    assert default.reason == "tape_limit" and not default.normalized
+    assert max(it.tl_after for it in default.iterations) <= machine_r.TAPE_LIMIT
+    monkeypatch.setattr(machine_r, "TAPE_LIMIT", 10_000)
+    small = mr_normalize(theta)
+    assert small.reason == "tape_limit"
     assert max(it.tl_after for it in small.iterations) <= 10_000
     # the stop is an ordinary prefix of a run under a larger budget
-    large = mr_normalize(theta, tape_limit=100_000)
-    assert large.reason == "tape_limit"
     k = len(small.iterations)
-    assert large.iterations[:k] == small.iterations
-    assert len(large.iterations) > k
+    assert default.iterations[:k] == small.iterations
+    assert len(default.iterations) > k
     assert small.theta == mr_normalize(theta, fuel_iterations=k).theta
-    # the default budget stops it too, before Current passes 2^18 symbols
-    default = mr_normalize(theta)
-    assert default.reason == "tape_limit"
-    assert max(it.tl_after for it in default.iterations) <= machine_r.TAPE_LIMIT
 
 
-def test_tape_limit_charges_the_last_find_pass():
+def test_tape_limit_charges_the_last_find_pass(monkeypatch):
     # the stopped iteration ran its find pass and nothing else; a Current of
-    # exactly tape_limit symbols is within the budget
+    # exactly TAPE_LIMIT symbols is within the budget
     theta = d_depth(6)
     free = mr_normalize(theta)
     k = 3
     limit = free.iterations[k].tl_after
-    assert mr_normalize(theta, tape_limit=limit).iterations == free.iterations[:k + 1]
-    stopped = mr_normalize(theta, tape_limit=limit - 1)
+    monkeypatch.setattr(machine_r, "TAPE_LIMIT", limit)
+    assert mr_normalize(theta).iterations == free.iterations[:k + 1]
+    monkeypatch.setattr(machine_r, "TAPE_LIMIT", limit - 1)
+    stopped = mr_normalize(theta)
     assert stopped.reason == "tape_limit"
     assert stopped.iterations == free.iterations[:k]
     state = MachineRState(current=stopped.theta)
@@ -471,6 +486,42 @@ def test_more_functionals_than_the_plan_memo_holds(monkeypatch):
     bounded = mr_normalize(theta)
     monkeypatch.setattr(machine_r, "PLAN_MEMO_SIZE", 10_000)
     assert mr_normalize(theta) == bounded
+
+
+def test_the_plan_memo_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
+    # the oldest plans go until the keys fit, exactly filling the budget
+    # if need be; the newest always stays
+    monkeypatch.setattr(machine_r, "TAPE_LIMIT", 10)
+    state = MachineRState(current="")
+    held = []
+    for fn in ("λ▶0", "λλ▶1", "λλ▶0", "λ▶", "λλλ▶10▶0▶1", "λλλλλλλλ▶0▶0"):
+        state.functional = fn
+        machine_r._plan(state)
+        held.append(([fn for _, fn in state.plans], state.plan_symbols))
+    assert held == [
+        (["λ▶0"], 3),
+        (["λ▶0", "λλ▶1"], 7),
+        (["λλ▶1", "λλ▶0"], 8),
+        (["λλ▶1", "λλ▶0", "λ▶"], 10),
+        (["λλλ▶10▶0▶1"], 10),
+        (["λλλλλλλλ▶0▶0"], 12),
+    ]
+
+
+def test_the_find_pass_holds_memory_linear_in_current():
+    # K (K (... (K a))) 4,000 deep: the structure stack grows by a frame per
+    # level, and the scan keeps a checkpoint per token; the checkpoints share
+    # one stack instead of each holding a copy (those would be 17 MB here)
+    theta = "@λλ▶1" * 4000 + "▶"
+    state = MachineRState(current=theta)
+    tracemalloc.start()
+    try:
+        assert find_redex_pass(state) == FOUND
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.stack_term == "S" * 3999 + "F"
+    assert peak < 200 * len(theta)
 
 
 def test_copy_subterm_matches_the_reference_at_every_start():
