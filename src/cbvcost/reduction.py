@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import Abs, App, BoundVar, InvalidPositionError, Term, substitute_top
+from .terms import Abs, App, BoundVar, InvalidPositionError, Term, instantiate, substitute_top
 
 FUN = "F"
 ARG = "A"
@@ -262,38 +262,10 @@ def _read_back(roots: list[tuple]) -> list[Term]:
         if code is None:
             memo[id(v)] = App(memo[id(v[1])], memo[id(v[2])])
         else:
-            memo[id(v)] = _instantiate(code, env, memo)
+            # an index the code never uses may name a value not read back
+            values = tuple(memo.get(id(w)) for w in env[:code.max_index + 1])
+            memo[id(v)] = instantiate(code, values, {})
     return [memo[id(v)] for v in roots]
-
-
-def _instantiate(code: Term, env: tuple, memo: dict[int, Term]) -> Term:
-    """`code` with each dangling index i replaced by the term of env[i]."""
-    if code.max_index < 0:
-        return code
-    out: list[Term] = []
-    stack: list[tuple[Term, int, bool]] = [(code, 0, False)]
-    while stack:
-        node, depth, done = stack.pop()
-        if done:
-            if type(node) is Abs:
-                out.append(Abs(out.pop()))
-            else:
-                arg = out.pop()
-                fun = out.pop()
-                out.append(App(fun, arg))
-            continue
-        if node.max_index < depth:
-            out.append(node)
-        elif type(node) is BoundVar:
-            out.append(memo[id(env[node.index - depth])])
-        elif type(node) is Abs:
-            stack.append((node, depth, True))
-            stack.append((node.body, depth + 1, False))
-        else:
-            stack.append((node, depth, True))
-            stack.append((node.arg, depth, False))
-            stack.append((node.fun, depth, False))
-    return out[0]
 
 
 def _leftmost(t: Term, fuel: int) -> ReductionOutcome:

@@ -70,7 +70,7 @@ class Term:
         return self._hash
 
     def __repr__(self):
-        if self.size <= 60:
+        if self.size <= 60 and self.max_index < 0:
             return f"<term {print_term(self)}>"
         return f"<term size={self.size}>"
 
@@ -167,29 +167,35 @@ def free_names(t: Term) -> set[str]:
     return names
 
 
-def substitute_top(body: Term, value: Term) -> Term:
-    """Replace the outermost binder's variable throughout `body` with `value`.
+def instantiate(t: Term, values: tuple[Term, ...], names: dict[str, int]) -> Term:
+    """`t` with each dangling index i < len(values) replaced by values[i], verbatim,
+    and each free name in `names` bound as index names[name] at the root of `t`.
 
-    Sound only in the situation the engine guarantees: the enclosing redex is
-    not under any binder, so `value` is well scoped on its own and is inserted
-    verbatim.  Subtrees without a matching index are shared, not copied.
+    Every other leaf stays as it is and every subtree with nothing to replace
+    is returned as the same object.  The walk keeps its own stack, so depth is
+    bounded by memory, not by the recursion limit.
     """
+    n = len(values)
     out: list[Term] = []
-    stack: list[tuple[Term, int, bool]] = [(body, 0, False)]
+    stack: list[tuple[Term, int, bool]] = [(t, 0, False)]
     while stack:
         node, depth, done = stack.pop()
         if done:
             if type(node) is Abs:
-                out.append(Abs(out.pop()))
+                body = out.pop()
+                out.append(node if body is node.body else Abs(body))
             else:
                 arg = out.pop()
                 fun = out.pop()
-                out.append(App(fun, arg))
+                out.append(node if fun is node.fun and arg is node.arg else App(fun, arg))
             continue
-        if node.max_index < depth:
+        if node.max_index < depth and not (names and node.has_free):
             out.append(node)
         elif type(node) is BoundVar:
-            out.append(value if node.index == depth else node)
+            i = node.index - depth
+            out.append(values[i] if i < n else node)
+        elif type(node) is FreeVar:
+            out.append(BoundVar(depth + names[node.name]) if node.name in names else node)
         elif type(node) is Abs:
             stack.append((node, depth, True))
             stack.append((node.body, depth + 1, False))
@@ -198,6 +204,14 @@ def substitute_top(body: Term, value: Term) -> Term:
             stack.append((node.arg, depth, False))
             stack.append((node.fun, depth, False))
     return out[0]
+
+
+def substitute_top(body: Term, value: Term) -> Term:
+    """Replace the outermost binder's variable throughout `body` with `value`.
+
+    The engine fires a redex only outside every binder, so `value` is well
+    scoped on its own and needs no shifting."""
+    return instantiate(body, (value,), {})
 
 
 # --- construction helpers -------------------------------------------------
@@ -222,32 +236,8 @@ def lam(*names_and_body) -> Term:
     at its innermost position, the ordinary shadowing of nested binders.
     """
     *names, body = names_and_body
-    # how many of the new binders lie inside each name's own
-    inner = {name: len(names) - 1 - i for i, name in enumerate(names)}
-    out: list[Term] = []
-    stack: list[tuple[Term, int, bool]] = [(body, 0, False)]
-    while stack:
-        node, depth, done = stack.pop()
-        if done:
-            if type(node) is Abs:
-                out.append(Abs(out.pop()))
-            else:
-                arg = out.pop()
-                fun = out.pop()
-                out.append(App(fun, arg))
-            continue
-        if not node.has_free:
-            out.append(node)
-        elif type(node) is FreeVar:
-            out.append(BoundVar(depth + inner[node.name]) if node.name in inner else node)
-        elif type(node) is Abs:
-            stack.append((node, depth, True))
-            stack.append((node.body, depth + 1, False))
-        else:
-            stack.append((node, depth, True))
-            stack.append((node.arg, depth, False))
-            stack.append((node.fun, depth, False))
-    t = out[0]
+    # each name's index at the root of the body: the new binders inside its own
+    t = instantiate(body, (), {name: len(names) - 1 - i for i, name in enumerate(names)})
     for _ in names:
         t = Abs(t)
     return t
@@ -340,7 +330,10 @@ def _read_ident(text: str, pos: int):
 # --- printing ---------------------------------------------------------------
 
 def print_term(t: Term) -> str:
-    """Render a term; parse_term(print_term(t)) is alpha-equal to t."""
+    """Render a term; parse_term(print_term(t)) is alpha-equal to t.
+
+    A dangling de Bruijn index has no binder to name, so it raises TermError.
+    """
     taken = free_names(t)
     binder_names: list[str] = []
 
@@ -364,6 +357,8 @@ def print_term(t: Term) -> str:
             continue
         node, depth = item
         if type(node) is BoundVar:
+            if node.index >= depth:
+                raise TermError(f"cannot print dangling de Bruijn index {node.index}")
             out.append(binder(depth - 1 - node.index))
         elif type(node) is FreeVar:
             out.append(node.name)

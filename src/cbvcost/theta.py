@@ -66,8 +66,8 @@ def encode_theta(t: Term) -> str:
     return "".join(out)
 
 
-def decode_theta(s: str, free_name: str = DEFAULT_FREE_NAME) -> Term:
-    """Inverse of encode_theta; every bare ▶ becomes FreeVar(free_name).
+def decode_theta(s: str) -> Term:
+    """Inverse of encode_theta; every bare ▶ becomes FreeVar(DEFAULT_FREE_NAME).
 
     Rejects arity violations, non-canonical index blocks and indices that
     escape their binders.
@@ -100,7 +100,7 @@ def decode_theta(s: str, free_name: str = DEFAULT_FREE_NAME) -> Term:
             pos += 1
         digits = s[dstart:pos]
         if digits == "":
-            term: Term = FreeVar(free_name)
+            term: Term = FreeVar(DEFAULT_FREE_NAME)
         else:
             if len(digits) > 1 and digits[0] == "0":
                 raise MalformedThetaError("leading zero in index", dstart)

@@ -318,17 +318,16 @@ class CompiledRun:
     tm_steps: int
 
 
-def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000,
-                 io_alphabet: Optional[Alphabet] = None) -> CompiledRun:
+def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000) -> CompiledRun:
     """Reduce the compiled machine on `u` and check it against the simulator.
 
+    Input and output are strings over the machine's non-blank symbols.
     Returns the decoded output, the reduction weight and the oracle's step
     count.  Raises FuelExhausted, naming the β-steps and the weight spent,
     when reduction does not finish within `fuel` (a looping machine), and
     OracleMismatchError when the outputs differ.
     """
-    if io_alphabet is None:
-        io_alphabet = Alphabet(s for s in m.alphabet if s != m.blank)
+    io_alphabet = Alphabet(s for s in m.alphabet if s != m.blank)
     program = build_function(m, io_alphabet)
     outcome = normalize(App(program, encode_string(io_alphabet, u)), LEFTMOST, fuel)
     if not outcome.normalized:

@@ -8,8 +8,8 @@ that the tests can check those machines against something simpler.
 from dataclasses import dataclass, field
 
 from cbvcost import (
-    ARG, FUN, Abs, App, BoundVar, CostTrace, InvalidPositionError, ReductionOutcome,
-    Term, XiValue, is_redex,
+    ARG, FUN, Abs, App, BoundVar, CostTrace, FreeVar, InvalidPositionError,
+    ReductionOutcome, Term, XiValue, is_redex,
 )
 from cbvcost.machine_r import A_LAM, F_APP, FOUND, NO_REDEX, S_APP, MachineRError
 from cbvcost.reduction import Zipper
@@ -31,6 +31,49 @@ def alpha_eq(a: Term, b: Term) -> bool:
 def is_well_scoped(t: Term) -> bool:
     """No de Bruijn index escapes its binders (free names are fine)."""
     return t.max_index < 0
+
+
+# --- substitution on a whole term ---------------------------------------------
+#
+# Plain recursion, one binder at a time and no sharing: for the small terms
+# the tests compare `terms.instantiate`, `substitute_top` and `lam` with.
+
+def ref_instantiate(t: Term, values, names, depth: int = 0) -> Term:
+    """`t` with each dangling index i below len(values) replaced by values[i]
+    and each free name in `names` bound as names[name] counted from the root."""
+    if type(t) is BoundVar:
+        i = t.index - depth
+        return values[i] if 0 <= i < len(values) else t
+    if type(t) is FreeVar:
+        return BoundVar(depth + names[t.name]) if t.name in names else t
+    if type(t) is Abs:
+        return Abs(ref_instantiate(t.body, values, names, depth + 1))
+    return App(ref_instantiate(t.fun, values, names, depth),
+               ref_instantiate(t.arg, values, names, depth))
+
+
+def ref_substitute_top(body: Term, value: Term) -> Term:
+    """The body of a fired redex with the argument in place of index 0."""
+    return ref_instantiate(body, (value,), {})
+
+
+def ref_close(t: Term, name: str, depth: int = 0) -> Term:
+    """`t` with the free name bound by a binder just outside it."""
+    if type(t) is FreeVar:
+        return BoundVar(depth) if t.name == name else t
+    if type(t) is Abs:
+        return Abs(ref_close(t.body, name, depth + 1))
+    if type(t) is App:
+        return App(ref_close(t.fun, name, depth), ref_close(t.arg, name, depth))
+    return t
+
+
+def ref_lam(*names_and_body) -> Term:
+    """Nested binders, innermost first, each closing its own name."""
+    *names, body = names_and_body
+    for name in reversed(names):
+        body = Abs(ref_close(body, name))
+    return body
 
 
 # --- redexes on a whole term ------------------------------------------------

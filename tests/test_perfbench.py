@@ -1,22 +1,27 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark still finds every name it wraps or calls.
 
-perfbench/tracer.py replaces functions of the package by name; a name
-removed or renamed here would otherwise surface only in a traced
-benchmark run (`perfbench/run.py --trace 1`).  The tracer is installed
-and uninstalled in-process; nothing under perfbench/ is written.
+perfbench/tracer.py replaces functions of the package by name, and
+perfbench/workloads.py calls them; a name removed or renamed, or a
+signature changed, would otherwise surface only in a benchmark run
+(`perfbench/run.py`).  The tracer and the tiny workloads run in-process;
+nothing under perfbench/ is written.
 """
 
 import importlib.util
 import pathlib
+import sys
+
+import pytest
 
 from cbvcost import bench, encodings, machine_r, parse_term, reduction, terms, theta, turing
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -24,7 +29,7 @@ def _load_tracer():
 def test_tracer_installs_and_uninstalls_every_wrap():
     modules = (bench, encodings, machine_r, reduction, theta, turing)
     before = [dict(vars(m)) for m in modules]
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     try:
         tracer.install()  # AttributeError if a wrapped name is gone
         assert tracer.sites
@@ -33,6 +38,10 @@ def test_tracer_installs_and_uninstalls_every_wrap():
         # leftmost runs on the closure machine, which builds no reduct
         reduction.normalize(parse_term(r"(\x.x)(\y.y)"), reduction.RIGHTMOST)
         assert tracer.calls["reduction.normalize"] == 1
+        assert tracer.calls["terms.substitute_top"] == 1
+        # nor does its read-back substitute through substitute_top
+        reduction.normalize(parse_term(r"(\x.\y.x)(\z.z)"), reduction.LEFTMOST)
+        assert tracer.calls["reduction.normalize"] == 2
         assert tracer.calls["terms.substitute_top"] == 1
     finally:
         tracer.uninstall()
@@ -47,7 +56,7 @@ def test_traced_machine_r_passes_add_up_to_the_run():
     program = turing.build_function(turing.flip_machine(), io_alphabet)
     string = theta.encode_theta(
         terms.App(program, encodings.encode_string(io_alphabet, "01")))
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     try:
         tracer.install()
         result = machine_r.mr_normalize(string)
@@ -62,3 +71,11 @@ def test_traced_machine_r_passes_add_up_to_the_run():
     assert tracer.calls["machine_r.find_redex_pass"] == iterations + 1
     assert tracer.calls["machine_r.substitute_pass"] == iterations
     assert tracer.calls["machine_r.reassemble_pass"] == iterations
+
+
+@pytest.mark.parametrize("workload", ["tm_palindrome", "mr_bounds_suite", "mr_flip"])
+def test_tiny_workloads_run_without_a_problem(workload):
+    wl = _load("workloads").WORKLOADS[workload]
+    result = wl.run(wl.setup(0, True))
+    assert result.items and result.steps > 0
+    assert [p for item in result.items for p in item.problems] == []

@@ -324,3 +324,14 @@ def test_leftmost_keeps_a_dangling_index_as_substitution_does():
     # value's index is then captured by the binder it lands under
     t = ap(parse_term(r"\x.\y.x"), Abs(BoundVar(1)), FreeVar("w"), FreeVar("q"))
     assert _same_outcome(t, 100).term == FreeVar("w")
+
+
+def test_leftmost_read_back_shares_what_it_does_not_replace():
+    # (\x.\y.x B) V -> \y.V B: B is code the machine never rewrote and V a
+    # value it bound; the read-back returns both as the input's objects
+    t = parse_term(r"(\x.\y.x (\a.\b.a b)) (\z.z)")
+    code_b, v = t.fun.body.body.arg, t.arg
+    outcome = normalize(t, "leftmost")
+    assert outcome.term == parse_term(r"\y.(\z.z) (\a.\b.a b)")
+    assert outcome.term.body.fun is v
+    assert outcome.term.body.arg is code_b

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -5,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbvcost import (
-    Abs, App, BoundVar, FreeVar, ParseError,
+    Abs, App, BoundVar, FreeVar, ParseError, TermError,
     ap, free_names, fv, is_closed, is_value, lam, normalize, parse_term,
     print_term, size, substitute_top,
 )
+from cbvcost.terms import instantiate
 
 from conftest import terms, within_a_second
-from reference import alpha_eq, is_well_scoped
+from reference import (
+    alpha_eq, enumerate_closed_terms, is_well_scoped, ref_instantiate, ref_lam,
+    ref_substitute_top,
+)
 
 I = Abs(BoundVar(0))
 
@@ -113,6 +118,96 @@ def test_substitute_under_inner_binder():
     got = substitute_top(body, FreeVar("c"))
     assert got == Abs(App(FreeVar("c"), BoundVar(0)))
     assert print_term(got) == r"\x0.c x0"
+
+
+def test_print_rejects_a_dangling_index():
+    # \x0.x0 would be the identity, a different term
+    for t, index in ((Abs(BoundVar(1)), 1), (BoundVar(0), 0), (ap(fv("a"), BoundVar(3)), 3)):
+        with pytest.raises(TermError, match=f"dangling de Bruijn index {index}$"):
+            print_term(t)
+
+
+def test_repr_of_a_dangling_index_gives_the_size():
+    assert repr(BoundVar(0)) == "<term size=1>"
+    assert repr(Abs(BoundVar(1))) == "<term size=2>"
+    assert repr(Abs(BoundVar(0))) == r"<term \x0.x0>"
+
+
+# --- the one substitution walk against the recursive references -------------
+
+K = parse_term(r"\x.\y.x")
+VALUES = ((), (fv("c"),), (K, I), (BoundVar(4), fv("a"), I))
+NAME_MAPS = ({}, {"a": 0}, {"a": 1, "b": 0}, {"b": 2, "c": 0})
+NAME_LISTS = (("a",), ("a", "b"), ("b", "a", "b"))
+
+
+def _open_terms(t):
+    """`t` under each count of its leading binders peeled off, then with
+    indices 0 and 1 of each made the free names a and b: dangling indices,
+    free names and both."""
+    out = [t]
+    while type(t) is Abs:
+        t = t.body
+        out.append(t)
+    return out + [ref_instantiate(u, (fv("a"), fv("b")), {}) for u in out[1:]]
+
+
+def _random_term(rng, budget, depth=0):
+    """Up to two dangling indices past the binders, and free names a to d."""
+    kind = rng.choice(("var", "abs", "app", "app") if budget >= 3 else
+                      ("var", "abs") if budget == 2 else ("var",))
+    if kind == "var":
+        i = rng.randrange(depth + 2 + 4)
+        return BoundVar(i) if i < depth + 2 else fv("abcd"[i - depth - 2])
+    if kind == "abs":
+        return Abs(_random_term(rng, budget - 1, depth + 1))
+    split = rng.randint(1, budget - 2)
+    return App(_random_term(rng, split, depth), _random_term(rng, budget - 1 - split, depth))
+
+
+def _check_walk(t):
+    for value in VALUES[1] + VALUES[2]:
+        assert substitute_top(t, value) == ref_substitute_top(t, value)
+    for values in VALUES:
+        for names in NAME_MAPS:
+            assert instantiate(t, values, names) == ref_instantiate(t, values, names)
+    for names in NAME_LISTS:
+        assert lam(*names, t) == ref_lam(*names, t)
+
+
+def test_the_walk_matches_the_references_on_enumerated_terms():
+    for t in enumerate_closed_terms(7):
+        for u in _open_terms(t):
+            _check_walk(u)
+
+
+def test_the_walk_matches_the_references_on_random_terms():
+    rng = random.Random(5)
+    for _ in range(1500):
+        _check_walk(_random_term(rng, rng.randint(1, 40)))
+
+
+def test_substitute_top_shares_what_it_does_not_replace():
+    closed = parse_term(r"\a.\b.a b")
+    beyond = Abs(BoundVar(5))   # dangling past the one value
+    body = ap(BoundVar(0), closed, ap(fv("y"), fv("z")), beyond)
+    got = substitute_top(body, I)
+    assert got == ap(I, closed, ap(fv("y"), fv("z")), beyond)
+    assert got.fun.fun.fun is I
+    assert got.fun.fun.arg is closed
+    assert got.fun.arg is body.fun.arg
+    assert got.arg is beyond
+    assert substitute_top(closed, I) is closed
+
+
+def test_lam_shares_what_it_does_not_bind():
+    closed = parse_term(r"\a.\b.a b")
+    body = ap(fv("x"), closed, ap(fv("y"), fv("z")))
+    got = lam("x", body)
+    assert got == Abs(ap(BoundVar(0), closed, ap(fv("y"), fv("z"))))
+    assert got.body.fun.arg is closed
+    assert got.body.arg is body.arg
+    assert lam("q", body).body is body
 
 
 def test_alpha_eq_is_structural():
