@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Optional
 
 from .terms import Abs, App, BoundVar, InvalidPositionError, Term, instantiate, substitute_top
@@ -47,15 +48,61 @@ class TraceStep:
     size_after: int
 
 
-@dataclass
 class CostTrace:
-    initial_size: int
-    steps: list[TraceStep] = field(default_factory=list)
+    """The charges of a reduction, one entry per β-step in each column.
+
+    `costs` and `sizes` are `array('q')` columns until a value passes
+    2⁶³ − 1; then both become lists of ints, which hold any integer.
+    `positions` lists each step's position tuple, shared between steps
+    that fire at the same position.  `total_cost` is kept as a running
+    sum, so reading it, like the step count, is O(1); `steps` builds the
+    `TraceStep` records on each access.
+    """
+
+    __slots__ = ("initial_size", "total_cost", "costs", "sizes", "positions")
+
+    def __init__(self, initial_size: int):
+        self.initial_size = initial_size
+        self.total_cost = 0
+        self.costs = array("q")
+        self.sizes = array("q")
+        self.positions: list[Position] = []
+
+    def record(self, position: Position, cost: int, size_after: int) -> None:
+        try:
+            self.costs.append(cost)
+            self.sizes.append(size_after)
+        except OverflowError:
+            self._widen()
+            self.costs.append(cost)
+            self.sizes.append(size_after)
+        self.positions.append(position)
+        self.total_cost += cost
+
+    def _widen(self) -> None:
+        """Make both int columns lists, dropping a step that went into
+        one of them only (positions are appended last)."""
+        n = len(self.positions)
+        self.costs = list(self.costs[:n])
+        self.sizes = list(self.sizes[:n])
 
     @property
-    def total_cost(self) -> int:
-        """Sum of the per-step charges (the weight of the whole reduction)."""
-        return sum(s.cost for s in self.steps)
+    def steps(self) -> list[TraceStep]:
+        return list(map(TraceStep, self.positions, self.costs, self.sizes))
+
+    def __eq__(self, other):
+        if not isinstance(other, CostTrace):
+            return NotImplemented
+        # an array never equals a list, so compare the int columns as lists
+        return (self.initial_size == other.initial_size
+                and self.total_cost == other.total_cost
+                and self.positions == other.positions
+                and list(self.costs) == list(other.costs)
+                and list(self.sizes) == list(other.sizes))
+
+    def __repr__(self) -> str:
+        return (f"CostTrace(initial_size={self.initial_size}, "
+                f"steps={len(self.positions)}, total_cost={self.total_cost})")
 
 
 @dataclass
@@ -66,7 +113,7 @@ class ReductionOutcome:
 
     @property
     def steps(self) -> int:
-        return len(self.trace.steps)
+        return len(self.trace.positions)
 
     def time(self) -> Optional[int]:
         """Total weight plus initial size; None when fuel ran out first."""
@@ -138,14 +185,15 @@ class Zipper:
     itself a redex: its child on the path is an application) and `size` is
     the size of the whole term.  A step therefore builds applications only
     for the frames it climbs and for the substitution, never for the whole
-    spine; the one cost left in the depth is copying the path into the
-    step's position tuple.
+    spine.  Given a `trace`, each step is recorded in it, which copies the
+    path into the step's position tuple: the one cost left in the depth.
     """
 
-    __slots__ = ("focus", "parents", "path", "before", "after", "size")
+    __slots__ = ("focus", "parents", "path", "before", "after", "size", "trace")
 
-    def __init__(self, t: Term):
+    def __init__(self, t: Term, trace: Optional[CostTrace] = None):
         self.focus = t
+        self.trace = trace
         self.parents: list[App] = []
         self.path: list[str] = []
         self.before = 0
@@ -165,7 +213,7 @@ class Zipper:
             self.before -= parent.fun.n_redexes
         self.focus = _plug(parent, side, self.focus)
 
-    def fire(self, k: int) -> TraceStep:
+    def fire(self, k: int) -> None:
         """Fire redex #k in left-to-right order; equal to
         step_at(self.term(), redex_path(self.term(), k)) on the whole term.
 
@@ -198,11 +246,11 @@ class Zipper:
         reduct = substitute_top(node.fun.body, node.arg)
         growth = reduct.size - node.size
         self.size += growth
-        step = TraceStep(tuple(self.path), max(1, growth), self.size)
+        if self.trace is not None:
+            self.trace.record(tuple(self.path), max(1, growth), self.size)
         self.focus = reduct
         if self.parents:
             self._up()
-        return step
 
     def term(self) -> Term:
         """The whole term; the focus does not move."""
@@ -286,10 +334,10 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
     closure_counts: dict[int, tuple[tuple[int, int], ...]] = {}
     bound_uses: dict[int, int] = {}
     # equal positions share one tuple: a run revisits few of them
-    positions: dict[Position, Position] = {}
+    interned: dict[Position, Position] = {}
     trace = CostTrace(t.size)
-    steps = trace.steps
-    size = t.size
+    costs, sizes, positions = trace.costs, trace.sizes, trace.positions
+    size, weight = t.size, 0
     # FUN frame: (argument code, env) still to evaluate; ARG frame: the
     # function's value.  `path` holds the side of each frame.
     frames: list[tuple] = []
@@ -325,12 +373,13 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
             fun = frames.pop()
             lam = fun[0]
             if type(lam) is Abs and value[0] is not None:
-                if len(steps) == fuel:
+                if len(positions) == fuel:
                     pending = [f if side is ARG else (*f, None) for side, f in zip(path, frames)]
                     lam_term, arg, *others = _read_back([fun, value] + pending)
                     node = App(lam_term, arg)
                     for side, other in zip(reversed(path), reversed(others)):
                         node = App(node, other) if side is FUN else App(other, node)
+                    trace.total_cost = weight
                     return ReductionOutcome(node, trace, False)
                 k = bound_uses.get(id(lam))
                 if k is None:
@@ -338,13 +387,23 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
                 value_size = value[2]
                 growth = k * (value_size - 1) - value_size - 2
                 size += growth
+                cost = growth if growth > 1 else 1
+                weight += cost
+                try:
+                    costs.append(cost)
+                    sizes.append(size)
+                except OverflowError:
+                    trace._widen()
+                    costs, sizes = trace.costs, trace.sizes
+                    costs.append(cost)
+                    sizes.append(size)
                 position = tuple(path)
-                steps.append(TraceStep(positions.setdefault(position, position),
-                                       growth if growth > 1 else 1, size))
+                positions.append(interned.setdefault(position, position))
                 code, env = lam.body, (value,) + fun[1]
                 break
             value = (None, fun, value)
         else:
+            trace.total_cost = weight
             return ReductionOutcome(_read_back([value])[0], trace, True)
 
 
@@ -368,7 +427,7 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
         return _leftmost(t, fuel)
     rng = random.Random(seed) if strategy == RANDOM else None
     trace = CostTrace(t.size)
-    z = Zipper(t)
+    z = Zipper(t, trace)
     for _ in range(fuel):
         n = z.n_redexes
         if n == 0:
@@ -379,7 +438,7 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
             k = n - 1
         else:
             k = rng.randrange(n)
-        trace.steps.append(z.fire(k))
+        z.fire(k)
     return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
 
 
@@ -392,8 +451,8 @@ def write_trace_csv(trace: CostTrace, fp) -> None:
     """Trace export; byte-identical across runs for equal inputs."""
     writer = csv.writer(fp)
     writer.writerow(["step", "cost", "size_after", "position"])
-    for i, s in enumerate(trace.steps, 1):
-        writer.writerow([i, s.cost, s.size_after, "/".join(s.position)])
+    writer.writerows(zip(range(1, len(trace.positions) + 1), trace.costs, trace.sizes,
+                         map("/".join, trace.positions)))
 
 
 # --- term source ------------------------------------------------------------

@@ -106,11 +106,11 @@ def zipper_leftmost(t: Term, fuel: int) -> ReductionOutcome:
     """Leftmost reduction by substitution: fire redex #0 of a Zipper until
     no redex is left or `fuel` steps are spent."""
     trace = CostTrace(t.size)
-    z = Zipper(t)
+    z = Zipper(t, trace)
     for _ in range(fuel):
         if z.n_redexes == 0:
             return ReductionOutcome(z.term(), trace, True)
-        trace.steps.append(z.fire(0))
+        z.fire(0)
     return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
 
 

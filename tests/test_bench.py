@@ -52,6 +52,22 @@ def test_probe_builds_few_applications_per_step(fired, monkeypatch):
     assert built[0] <= 10 * fired[0]
 
 
+def test_probe_records_no_step(monkeypatch):
+    # the probe only compares terms; recording a step would copy the whole
+    # path, which grows two frames per step here, into a position tuple
+    traces = []
+
+    class WatchedZipper(reduction.Zipper):
+        def fire(self, k):
+            traces.append(self.trace)
+            super().fire(k)
+
+    monkeypatch.setattr(bench, "Zipper", WatchedZipper)
+    t = parse_term(r"(\x.x) (\x.x x) (\x.x (x x) x)")
+    assert not bench.normalizes_within(t, 200, 50_000)
+    assert len(traces) == 200 and all(trace is None for trace in traces)
+
+
 def test_probe_accepts_a_normalizing_term():
     assert bench.normalizes_within(parse_term(r"(\x.x)(\y.y)"), 1500, 50_000)
 

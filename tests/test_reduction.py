@@ -1,5 +1,9 @@
+import csv
+import hashlib
 import io
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,8 @@ from cbvcost import (
     flip_machine, normalize, parse_term, random_closed_term, redex_path,
     size, step_at, time_of, write_trace_csv,
 )
-from cbvcost.reduction import Zipper
+from cbvcost import reduction
+from cbvcost.reduction import CostTrace, TraceStep, Zipper
 
 from conftest import terms, within_a_second
 from reference import enumerate_closed_terms, find_redexes, subterm_at, zipper_leftmost
@@ -133,8 +138,9 @@ def test_trace_replay_is_sound(rng):
 def test_zipper_steps_match_step_at_on_the_whole_term(rng):
     for _ in range(300):
         t = random_closed_term(rng, rng.choice((12, 20, 30)))
-        z, cur = Zipper(t), t
-        for _ in range(60):
+        trace = CostTrace(size(t))
+        z, cur = Zipper(t, trace), t
+        for i in range(60):
             n = cur.n_redexes
             assert z.n_redexes == n
             if n == 0:
@@ -142,8 +148,8 @@ def test_zipper_steps_match_step_at_on_the_whole_term(rng):
             k = rng.randrange(n)
             path = redex_path(cur, k)
             cur, cost = step_at(cur, path)
-            step = z.fire(k)
-            assert (step.position, step.cost, step.size_after) == (path, cost, size(cur))
+            z.fire(k)
+            assert trace.steps[i] == TraceStep(path, cost, size(cur))
             assert z.size == size(cur)
             assert z.term() == cur
         with pytest.raises(InvalidPositionError):
@@ -286,13 +292,17 @@ def test_leftmost_equals_the_zipper_on_compiled_machines(machine):
             _same_outcome(t, outcome.steps // 2)
 
 
-def test_leftmost_shares_a_doubling_normal_form():
-    # D = \x.\k.k x x: the normal form has 6 * 2^60 - 4 nodes in print and
-    # about 120 in memory
+def d_chain(depth):
+    """D = \\x.\\k.k x x applied `depth` times: the size doubles each step."""
     text = r"\z.z"
-    for _ in range(60):
+    for _ in range(depth):
         text = rf"(\x.\k.k x x) ({text})"
-    t = parse_term(text)
+    return parse_term(text)
+
+
+def test_leftmost_shares_a_doubling_normal_form():
+    # the normal form has 6 * 2^60 - 4 nodes in print and about 120 in memory
+    t = d_chain(60)
     with within_a_second():
         outcome = _same_outcome(t, 1000)
     assert outcome.term.size == 6 * 2 ** 60 - 4
@@ -335,3 +345,106 @@ def test_leftmost_read_back_shares_what_it_does_not_replace():
     assert outcome.term == parse_term(r"\y.(\z.z) (\a.\b.a b)")
     assert outcome.term.body.fun is v
     assert outcome.term.body.arg is code_b
+
+
+# --- the trace: its CSV bytes ------------------------------------------------
+#
+# sha256 of `write_trace_csv` output, recorded before the trace was stored
+# as columns; each step's cost, size and position must come out as before.
+
+PALINDROME_40 = "01101001110010110100" "00101101001110010110"
+
+
+@pytest.fixture(scope="module")
+def palindrome_40():
+    io_alphabet = Alphabet("01")
+    program = build_function(even_palindrome_machine(), io_alphabet)
+    return App(program, encode_string(io_alphabet, PALINDROME_40))
+
+
+def _csv_sha256(outcome):
+    buf = io.StringIO()
+    write_trace_csv(outcome.trace, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def test_trace_csv_bytes_of_the_palindrome_run(palindrome_40):
+    outcome = normalize(palindrome_40, "leftmost", 1_000_000)
+    assert (outcome.steps, outcome.trace.total_cost) == (34_895, 44_380_205)
+    assert _csv_sha256(outcome) == (
+        "4cd9cb381c6c976381fe91fa26eb01845e55fd1891f4092d3424c2817d71559a")
+
+
+@pytest.mark.parametrize("pair, strategy, digest", [
+    (False, "rightmost", "16609f3dbe5e745d9033cbaff9c1fdfe958211b5d2d4ca5a8ff0d9f57070607b"),
+    (False, "random", "16609f3dbe5e745d9033cbaff9c1fdfe958211b5d2d4ca5a8ff0d9f57070607b"),
+    # two redexes at once, so each strategy takes its own positions
+    (True, "leftmost", "19ffc1beed6d85bcb306b3028291f16626247cfd59891487c904bc9826a0cd1c"),
+    (True, "rightmost", "19c65671cbc22c2b59caff8c1c6e4aae4f9fc46f5946778d28ee8757cf3fdcd4"),
+    (True, "random", "97e721071e44aa17a11787ec7b2843465ad708265427f26e97afa20a7886d609"),
+])
+def test_trace_csv_bytes_of_growth_terms(pair, strategy, digest):
+    t = App(App(FreeVar("p"), growth_term(5)), growth_term(6)) if pair else growth_term(8)
+    assert _csv_sha256(normalize(t, strategy, seed=123)) == digest
+
+
+# --- the trace: columns, running weight, int64 fallback ----------------------
+
+def test_trace_of_the_palindrome_run_holds_its_columns_only(palindrome_40):
+    # costs and sizes are 8-byte array entries and positions 8-byte list
+    # slots pointing at shared tuples: 24 bytes per step, plus the growth
+    # headroom CPython leaves in an array (at most 1/16) and a list (at most
+    # 1/8), so at most 26.  A TraceStep per step held about 100.
+    normalize(palindrome_40, "leftmost", 1_000_000)  # warm up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        outcome = normalize(palindrome_40, "leftmost", 1_000_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert outcome.steps == 34_895
+    assert held <= 26 * outcome.steps + 64 * 1024
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "random"])
+def test_step_count_and_weight_build_no_trace_step(strategy, monkeypatch):
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return TraceStep(*fields)
+
+    monkeypatch.setattr(reduction, "TraceStep", counted)
+    outcome = normalize(App(App(FreeVar("p"), growth_term(5)), growth_term(6)), strategy)
+    assert (outcome.steps, outcome.trace.total_cost, outcome.time()) == (15, 440, 491)
+    write_trace_csv(outcome.trace, io.StringIO())
+    assert built == []
+    steps = outcome.trace.steps
+    assert len(built) == len(steps) == 15
+    assert sum(s.cost for s in steps) == 440
+
+
+def test_a_trace_past_int64_keeps_exact_integers():
+    t = d_chain(70)
+    outcome = _same_outcome(t, 1000)
+    steps = outcome.trace.steps
+    assert steps[-1].size_after == outcome.term.size == 6 * 2 ** 70 - 4
+    assert max(s.cost for s in steps) > 2 ** 63 - 1
+    assert outcome.trace.total_cost == sum(s.cost for s in steps)
+    buf = io.StringIO()
+    write_trace_csv(outcome.trace, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+    assert [(int(c), int(s)) for _, c, s, _ in rows] == [(s.cost, s.size_after) for s in steps]
+
+
+def test_a_run_out_of_fuel_at_the_first_step_past_int64():
+    t = d_chain(70)
+    sizes = [s.size_after for s in zipper_leftmost(t, 1000).trace.steps]
+    first = next(i for i, n in enumerate(sizes, 1) if n > 2 ** 63 - 1)
+    below = _same_outcome(t, first - 1)
+    assert isinstance(below.trace.sizes, array)
+    past = _same_outcome(t, first)
+    assert not past.normalized and past.steps == first
+    assert past.trace.steps[-1].size_after == sizes[first - 1]
+    assert past.trace.total_cost == sum(s.cost for s in past.trace.steps)
