@@ -26,7 +26,7 @@ import csv
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .terms import Abs, App, BoundVar, InvalidPositionError, Term, instantiate, substitute_top
 
@@ -49,60 +49,61 @@ class TraceStep:
 
 
 class CostTrace:
-    """The charges of a reduction, one entry per β-step in each column.
+    """The sizes of a reduction, one entry per β-step in each column.
 
-    `costs` and `sizes` are `array('q')` columns until a value passes
-    2⁶³ − 1; then both become lists of ints, which hold any integer.
-    `positions` lists each step's position tuple, shared between steps
-    that fire at the same position.  `total_cost` is kept as a running
-    sum, so reading it, like the step count, is O(1); `steps` builds the
-    `TraceStep` records on each access.
+    `sizes` holds the size of the term after each step, in an
+    `array('q')` until a size passes 2⁶³ − 1 and in a list of ints from
+    then on.  `positions` lists each step's position tuple, shared between
+    steps that fire at the same position.  A step's cost is not stored:
+    `_costs` derives it from consecutive sizes.  `total_cost` is their sum,
+    kept up to date by `record` (the closure machine adds it up once, when
+    its run ends), so reading it, like the step count, is O(1); `steps`
+    builds the `TraceStep` records on each access.
     """
 
-    __slots__ = ("initial_size", "total_cost", "costs", "sizes", "positions")
+    __slots__ = ("initial_size", "total_cost", "sizes", "positions")
 
     def __init__(self, initial_size: int):
         self.initial_size = initial_size
         self.total_cost = 0
-        self.costs = array("q")
         self.sizes = array("q")
         self.positions: list[Position] = []
 
-    def record(self, position: Position, cost: int, size_after: int) -> None:
+    def record(self, position: Position, size_after: int) -> None:
+        (cost,) = _costs(self.sizes[-1] if self.sizes else self.initial_size, (size_after,))
+        self.total_cost += cost
         try:
-            self.costs.append(cost)
             self.sizes.append(size_after)
         except OverflowError:
-            self._widen()
-            self.costs.append(cost)
-            self.sizes.append(size_after)
+            self.sizes = [*self.sizes, size_after]
         self.positions.append(position)
-        self.total_cost += cost
-
-    def _widen(self) -> None:
-        """Make both int columns lists, dropping a step that went into
-        one of them only (positions are appended last)."""
-        n = len(self.positions)
-        self.costs = list(self.costs[:n])
-        self.sizes = list(self.sizes[:n])
 
     @property
     def steps(self) -> list[TraceStep]:
-        return list(map(TraceStep, self.positions, self.costs, self.sizes))
+        return list(map(TraceStep, self.positions, _costs(self.initial_size, self.sizes),
+                        self.sizes))
 
     def __eq__(self, other):
         if not isinstance(other, CostTrace):
             return NotImplemented
-        # an array never equals a list, so compare the int columns as lists
+        # an array never equals a list, so compare the sizes as lists
         return (self.initial_size == other.initial_size
-                and self.total_cost == other.total_cost
                 and self.positions == other.positions
-                and list(self.costs) == list(other.costs)
                 and list(self.sizes) == list(other.sizes))
 
     def __repr__(self) -> str:
         return (f"CostTrace(initial_size={self.initial_size}, "
                 f"steps={len(self.positions)}, total_cost={self.total_cost})")
+
+
+def _costs(size: int, sizes_after: Iterable[int]) -> Iterator[int]:
+    """The cost of each step, max(1, size after − size before), from the
+    size before the first step and the size after each; a stream, so a
+    whole trace's costs are never held at once."""
+    for after in sizes_after:
+        growth = after - size
+        yield growth if growth > 1 else 1
+        size = after
 
 
 @dataclass
@@ -185,8 +186,9 @@ class Zipper:
     itself a redex: its child on the path is an application) and `size` is
     the size of the whole term.  A step therefore builds applications only
     for the frames it climbs and for the substitution, never for the whole
-    spine.  Given a `trace`, each step is recorded in it, which copies the
-    path into the step's position tuple: the one cost left in the depth.
+    spine.  Given a `trace`, each step records its position and the new
+    size in it, which copies the path into the step's position tuple: the
+    one cost left in the depth.
     """
 
     __slots__ = ("focus", "parents", "path", "before", "after", "size", "trace")
@@ -244,10 +246,9 @@ class Zipper:
                 self.before += f
                 node = node.arg
         reduct = substitute_top(node.fun.body, node.arg)
-        growth = reduct.size - node.size
-        self.size += growth
+        self.size += reduct.size - node.size
         if self.trace is not None:
-            self.trace.record(tuple(self.path), max(1, growth), self.size)
+            self.trace.record(tuple(self.path), self.size)
         self.focus = reduct
         if self.parents:
             self._up()
@@ -284,6 +285,15 @@ def _dangling(t: Term) -> dict[int, int]:
             stack.append((node.arg, depth))
             stack.append((node.fun, depth))
     return counts
+
+
+def _count_uses(uses: dict, lam: Abs) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """From one walk of `lam`'s body, stored in `uses` under `lam`'s id: how
+    often the body uses index 0, `lam`'s bound index, and each other index
+    i, which is `lam`'s dangling index i - 1."""
+    counts = _dangling(lam.body)
+    entry = uses[id(lam)] = (counts.pop(0, 0), tuple(counts.items()))
+    return entry
 
 
 def _read_back(roots: list[tuple]) -> list[Term]:
@@ -329,15 +339,14 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
     evaluates on to the next step without taking it and plugs the redex
     into its frames: the term the Zipper would hold.
     """
-    # per Abs node of the input, counted once: the occurrences of its
-    # dangling indices, which size its closures, and of its bound index
-    closure_counts: dict[int, tuple[tuple[int, int], ...]] = {}
-    bound_uses: dict[int, int] = {}
+    # per Abs node of the input, counted once: the uses of its bound index
+    # and of its dangling indices, which size its closures
+    uses: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
     # equal positions share one tuple: a run revisits few of them
     interned: dict[Position, Position] = {}
     trace = CostTrace(t.size)
-    costs, sizes, positions = trace.costs, trace.sizes, trace.positions
-    size, weight = t.size, 0
+    sizes, positions = trace.sizes, trace.positions
+    size = t.size
     # FUN frame: (argument code, env) still to evaluate; ARG frame: the
     # function's value.  `path` holds the side of each frame.
     frames: list[tuple] = []
@@ -351,11 +360,8 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
         if type(code) is Abs:
             value_size = code.size
             if code.max_index >= 0:
-                counts = closure_counts.get(id(code))
-                if counts is None:
-                    counts = closure_counts[id(code)] = tuple(_dangling(code).items())
-                for i, n in counts:
-                    value_size += n * (env[i][2] - 1)
+                for i, n in (uses.get(id(code)) or _count_uses(uses, code))[1]:
+                    value_size += n * (env[i - 1][2] - 1)
             # keep only the bindings the code can reach, so that a value
             # does not hold on to its whole scope
             value = (code, env[:code.max_index + 1], value_size)
@@ -379,31 +385,22 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
                     node = App(lam_term, arg)
                     for side, other in zip(reversed(path), reversed(others)):
                         node = App(node, other) if side is FUN else App(other, node)
-                    trace.total_cost = weight
+                    trace.total_cost = sum(_costs(t.size, sizes))
                     return ReductionOutcome(node, trace, False)
-                k = bound_uses.get(id(lam))
-                if k is None:
-                    k = bound_uses[id(lam)] = _dangling(lam.body).get(0, 0)
+                k = (uses.get(id(lam)) or _count_uses(uses, lam))[0]
                 value_size = value[2]
-                growth = k * (value_size - 1) - value_size - 2
-                size += growth
-                cost = growth if growth > 1 else 1
-                weight += cost
+                size += k * (value_size - 1) - value_size - 2
                 try:
-                    costs.append(cost)
                     sizes.append(size)
                 except OverflowError:
-                    trace._widen()
-                    costs, sizes = trace.costs, trace.sizes
-                    costs.append(cost)
-                    sizes.append(size)
+                    sizes = trace.sizes = [*sizes, size]
                 position = tuple(path)
                 positions.append(interned.setdefault(position, position))
                 code, env = lam.body, (value,) + fun[1]
                 break
             value = (None, fun, value)
         else:
-            trace.total_cost = weight
+            trace.total_cost = sum(_costs(t.size, sizes))
             return ReductionOutcome(_read_back([value])[0], trace, True)
 
 
@@ -451,7 +448,8 @@ def write_trace_csv(trace: CostTrace, fp) -> None:
     """Trace export; byte-identical across runs for equal inputs."""
     writer = csv.writer(fp)
     writer.writerow(["step", "cost", "size_after", "position"])
-    writer.writerows(zip(range(1, len(trace.positions) + 1), trace.costs, trace.sizes,
+    writer.writerows(zip(range(1, len(trace.positions) + 1),
+                         _costs(trace.initial_size, trace.sizes), trace.sizes,
                          map("/".join, trace.positions)))
 
 

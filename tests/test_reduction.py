@@ -391,10 +391,11 @@ def test_trace_csv_bytes_of_growth_terms(pair, strategy, digest):
 # --- the trace: columns, running weight, int64 fallback ----------------------
 
 def test_trace_of_the_palindrome_run_holds_its_columns_only(palindrome_40):
-    # costs and sizes are 8-byte array entries and positions 8-byte list
-    # slots pointing at shared tuples: 24 bytes per step, plus the growth
+    # a size is an 8-byte array entry and a position an 8-byte list slot
+    # pointing at a shared tuple: 16 bytes per step, plus the growth
     # headroom CPython leaves in an array (at most 1/16) and a list (at most
-    # 1/8), so at most 26.  A TraceStep per step held about 100.
+    # 1/8), so at most 18; the few shared tuples fit in the fixed 64 KiB.
+    # Costs are derived, not stored; a TraceStep per step held about 100.
     normalize(palindrome_40, "leftmost", 1_000_000)  # warm up
     tracemalloc.start()
     try:
@@ -404,7 +405,27 @@ def test_trace_of_the_palindrome_run_holds_its_columns_only(palindrome_40):
     finally:
         tracemalloc.stop()
     assert outcome.steps == 34_895
-    assert held <= 26 * outcome.steps + 64 * 1024
+    assert held <= 18 * outcome.steps + 64 * 1024
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_trace_csv_streams_its_rows(palindrome_40):
+    # the costs are derived row by row as the CSV is written; building a
+    # list of them first takes the peak to about 500 KB for these 34,895
+    # steps, against about 130 KB streamed
+    outcome = normalize(palindrome_40, "leftmost", 1_000_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_trace_csv(outcome.trace, _Discard())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "random"])
