@@ -24,7 +24,9 @@ A pass charges each copied subterm and the binary Counter's arithmetic in
 closed form.  The find pass steps over one structural token at a time
 (an @, a ▶ with its digits, or a whole abstraction) and resumes where the
 last iteration changed Current.  The substitute pass replays a plan memoized
-per Functional string.  Each count equals the symbol-by-symbol one;
+per Functional string; a missed plan resumes from a checkpoint of the
+memoized plan whose Functional shares the longest prefix with it.  Each
+count equals the symbol-by-symbol one;
 `tests/reference.py` keeps both the symbol-by-symbol machine and the
 closed-form passes on list tapes that this module replaced, and the tests
 run all three in lockstep.
@@ -39,13 +41,16 @@ before an iteration that would write a Current longer than `TAPE_LIMIT`
 symbols.  Every other tape is a piece of Current or of the next one, the
 find pass keeps O(1) per top-level token of Current, and the plan memo
 holds at most `PLAN_MEMO_SIZE` plans of at most `TAPE_LIMIT` symbols in
-all.  So a run holds memory linear in the longer of its input and the
-budget.
+all.  A plan keeps a checkpoint every `CHECK_EVERY` ▶ tokens of its
+Functional, O(|Functional| / CHECK_EVERY) entries whose structure stacks
+share the frames the plan pushed, so it too holds O(|Functional|).  So a
+run holds memory linear in the longer of its input and the budget.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -68,6 +73,10 @@ TAPE_LIMIT = 1 << 18
 # how many substitution plans a run keeps, oldest dropped first; together
 # they hold at most TAPE_LIMIT symbols of Functional and StackRedex
 PLAN_MEMO_SIZE = 256
+
+# a plan keeps a checkpoint every CHECK_EVERY ▶ tokens of its Functional; a
+# missed Functional resumes from one in the plan it shares a prefix with
+CHECK_EVERY = 16
 
 _DIGITS = re.compile("[01]*")
 # whole tokens: where a run of them stops, a symbol-by-symbol copy faults
@@ -108,12 +117,16 @@ class _Scan(NamedTuple):
 class _Plan(NamedTuple):
     """A substitution with the Argument left out: the Reduct is
     `argument.join(segments)` and the charge `ops + 2 * |argument| *
-    occurrences`.  `stack` and `counter` are the tapes the pass leaves."""
+    occurrences`.  `stack` and `counter` are the tapes the pass leaves.
+    `checkpoints` hold the plan's state at every CHECK_EVERY-th ▶ of the
+    Functional: (its position, literal start, occurrences, d, flips, ops,
+    structure stack), which depends only on the Functional up to that ▶."""
     segments: list[str]
     ops: int
     occurrences: int
     stack: str
     counter: str
+    checkpoints: list[tuple]
 
 
 @dataclass
@@ -130,9 +143,10 @@ class MachineRState:
     op_count: int = 0
     iterations: list[IterationStats] = field(default_factory=list)
     # the last find pass's checkpoints, the substitution plans by StackRedex
-    # and Functional, and the symbols of those keys
+    # and Functional, those keys in sorted order, and their symbols
     scan: _Scan | None = field(default=None, repr=False)
     plans: dict[tuple[str, str], _Plan] = field(default_factory=dict, repr=False)
+    plan_keys: list[tuple[str, str]] = field(default_factory=list, repr=False)
     plan_symbols: int = field(default=0, repr=False)
 
 
@@ -271,20 +285,25 @@ def find_redex_pass(state: MachineRState) -> str:
 
 def _make_plan(fn: str, tape: str) -> _Plan:
     """The substitution of Functional `fn`, with StackRedex starting as
-    `tape`, one ▶ token at a time.  Between two marks lies a run of λ and
-    @, each read, written and pushed.  Counting the Counter up from 0 to d
-    visits 2d - popcount(d) digits (`flips` below), so the increments of a
-    run and the decrements of a close cost the difference of two such
-    counts; a decrement also drops the leading zero at each power of two
-    from 2 up."""
-    pieces = fn.split(MARK)  # "λ" and a run, then per ▶: digits and a run
+    `tape`: read (and erase) the leading λ, set the Counter to 0, go on."""
     stack = (tape, len(tape), 0, None) if tape else None
-    segments = []
-    literal = 1  # start of the literal segment being read
-    occurrences = 0
-    d = flips = 0
-    ops = 2  # read (and erase) the leading λ, set the Counter to 0
-    pos = -1  # the ▶ before the piece
+    return _extend(fn, [], [], (-1, 1, 0, 0, 0, 2, stack))
+
+
+def _extend(fn: str, segments: list[str], checkpoints: list[tuple],
+            start: tuple) -> _Plan:
+    """The plan of `fn` from the checkpoint `start` on, one ▶ token at a
+    time; `segments` and `checkpoints` are the plan's up to `start`.
+
+    Between two marks lies a run of λ and @, each read, written and
+    pushed.  Counting the Counter up from 0 to d visits 2d - popcount(d)
+    digits (`flips` below), so the increments of a run and the decrements
+    of a close cost the difference of two such counts; a decrement also
+    drops the leading zero at each power of two from 2 up."""
+    pos, literal, occurrences, d, flips, ops, stack = start
+    # "λ" and a run, then per ▶: digits and a run; pos is the ▶ before a piece
+    pieces = fn[pos + 1:].split(MARK)
+    countdown = CHECK_EVERY
     for piece in pieces:
         if pos >= 0:
             run = piece.lstrip("01")
@@ -323,26 +342,73 @@ def _make_plan(fn: str, tape: str) -> _Plan:
             ops += up - flips
             flips = up
         pos += len(piece) + 1
+        countdown -= 1
+        if not countdown:
+            countdown = CHECK_EVERY
+            if pos < len(fn):
+                checkpoints.append((pos, literal, occurrences, d, flips, ops, stack))
     segments.append(fn[literal:])
-    return _Plan(segments, ops, occurrences, _frames(stack), format(d, "b"))
+    return _Plan(segments, ops, occurrences, _frames(stack), format(d, "b"), checkpoints)
+
+
+def _shared(a: str, b: str) -> int:
+    """The length of the longest common prefix of `a` and `b`."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _resume(plans: dict[tuple[str, str], _Plan], near: list[tuple[str, str]],
+            key: tuple[str, str]) -> _Plan | None:
+    """The plan of `key` resumed from the plan, among those of the keys
+    `near` with the same StackRedex, whose Functional shares the longest
+    prefix with key's: from its last checkpoint whose ▶ lies in that
+    prefix.  None if there is no such checkpoint."""
+    stack, fn = key
+    bases = [other for other in near if other[0] == stack and plans[other].checkpoints]
+    if not bases:
+        return None
+    shared, base = max((_shared(other[1], fn), other) for other in bases)
+    base = plans[base]
+    at = bisect_left(base.checkpoints, (shared,))
+    if not at:
+        return None
+    start = base.checkpoints[at - 1]
+    return _extend(fn, base.segments[:start[2]], base.checkpoints[:at], start)
 
 
 def _plan(state: MachineRState) -> _Plan:
     """The plan of the state's StackRedex and Functional, memoized.  The
     memo drops its oldest plans to keep at most PLAN_MEMO_SIZE of them and
-    at most TAPE_LIMIT symbols of keys, but always keeps the newest."""
+    at most TAPE_LIMIT symbols of keys, but always keeps the newest.
+
+    A missed plan resumes from a checkpoint of a memoized one.  The key
+    sharing the longest prefix with the missed one sits next to it in
+    sorted order, so only those two neighbours are compared."""
     key = (state.stack_redex, state.functional)
     plans = state.plans
     plan = plans.get(key)
     if plan is None:
-        plan = _make_plan(state.functional, state.stack_redex)
+        keys = state.plan_keys
+        if len(key[1]) >= CHECK_EVERY:  # no shorter Functional holds a checkpoint
+            i = bisect_left(keys, key)
+            plan = _resume(plans, keys[max(i - 1, 0):i + 1], key)
+        if plan is None:
+            plan = _make_plan(state.functional, state.stack_redex)
         size = sum(map(len, key))
         while plans and (len(plans) >= PLAN_MEMO_SIZE
                          or state.plan_symbols + size > TAPE_LIMIT):
             oldest = next(iter(plans))
             del plans[oldest]
+            del keys[bisect_left(keys, oldest)]
             state.plan_symbols -= sum(map(len, oldest))
         plans[key] = plan
+        insort(keys, key)
         state.plan_symbols += size
     return plan
 

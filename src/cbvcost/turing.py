@@ -14,6 +14,7 @@ IO alphabet before comparing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .encodings import (
@@ -311,6 +312,15 @@ def build_function(m: TuringMachine, io_alphabet: Alphabet) -> Term:
     return lam("x", ap(final_t, ap(trans_t, ap(init_t, fv("x")))))
 
 
+@lru_cache(maxsize=16)
+def _program(machine: tuple, io_symbols: tuple[str, ...]) -> Term:
+    """`build_function` of the machine whose fields are `machine`, `delta`
+    given as its sorted items, over the IO alphabet `io_symbols`: built
+    once per machine content and IO alphabet."""
+    *fields, delta = machine
+    return build_function(TuringMachine(*fields, dict(delta)), Alphabet(io_symbols))
+
+
 @dataclass
 class CompiledRun:
     output: str
@@ -321,14 +331,16 @@ class CompiledRun:
 def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000) -> CompiledRun:
     """Reduce the compiled machine on `u` and check it against the simulator.
 
-    Input and output are strings over the machine's non-blank symbols.
+    Input and output are strings over the machine's non-blank symbols; the
+    compiled program is built once per machine content and reused.
     Returns the decoded output, the reduction weight and the oracle's step
     count.  Raises FuelExhausted, naming the β-steps and the weight spent,
     when reduction does not finish within `fuel` (a looping machine), and
     OracleMismatchError when the outputs differ.
     """
     io_alphabet = Alphabet(s for s in m.alphabet if s != m.blank)
-    program = build_function(m, io_alphabet)
+    program = _program((m.alphabet, m.blank, m.states, m.initial, m.final,
+                        tuple(sorted(m.delta.items()))), io_alphabet.symbols)
     outcome = normalize(App(program, encode_string(io_alphabet, u)), LEFTMOST, fuel)
     if not outcome.normalized:
         raise FuelExhausted(f"compiled machine did not halt within {fuel} β-steps "

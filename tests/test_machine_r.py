@@ -599,3 +599,138 @@ def test_passes_on_arbitrary_tapes_agree_with_the_references():
                 for _, substitute, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL)}
         assert want == {_pass_outcome(substitute_pass, MachineRState(
             current="", functional=functional, argument="λ▶0", stack_redex=stack))}
+
+
+# --- plans resumed from checkpoints ------------------------------------------
+
+def _functionals(theta, iterations=10_000):
+    """Every Functional the machine reads normalizing `theta`."""
+    seen = []
+    state = MachineRState(current=theta)
+    while len(seen) < iterations and find_redex_pass(state) == FOUND:
+        seen.append(state.functional)
+        substitute_pass(state)
+        reassemble_pass(state)
+    return seen
+
+
+def _plan_outcome(build):
+    try:
+        return build()
+    except MachineRError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("every", [1, 3, machine_r.CHECK_EVERY])
+def test_a_resumed_plan_equals_a_fresh_one(monkeypatch, every):
+    # a plan resumed from a checkpoint of a plan whose Functional shares a
+    # prefix with it is the fresh plan in every field, or the fresh plan's
+    # fault: edits, cuts and foreign tails after the shared prefix included.
+    # The plans of the same Functional under another StackRedex are offered
+    # too, and must not be used.
+    monkeypatch.setattr(machine_r, "CHECK_EVERY", every)
+    io = Alphabet("01")
+    program = build_function(flip_machine(), io)
+    functionals = _functionals(encode_theta(App(program, encode_string(io, "01"))))
+    rng = random.Random(21)
+    for _ in range(60):
+        functionals += _functionals(encode_theta(random_closed_term(rng, 40)), 20)
+    resumed = 0
+    for fn in functionals[::3]:
+        plans = {}
+        for stack in ("", "F", "AF"):
+            base = _plan_outcome(lambda: machine_r._make_plan(fn, stack))
+            if not isinstance(base, str):
+                plans[stack, fn] = base
+        for stack, _ in plans:
+            for new in (_splice(rng, fn), _splice(rng, fn), fn[:rng.randrange(len(fn))],
+                        fn + rng.choice(("x", "▶0", "λ▶", "0"))):
+                got = _plan_outcome(lambda: machine_r._resume(plans, list(plans), (stack, new)))
+                if got is None:
+                    continue
+                resumed += 1
+                assert got == _plan_outcome(lambda: machine_r._make_plan(new, stack))
+    assert resumed > 300
+
+
+def test_the_memo_resumes_plans_that_equal_fresh_ones(monkeypatch):
+    # on compiled FLIP on 4 bits, 43 of the 193 missed plans resume from a
+    # neighbour's checkpoint; every memoized plan equals the fresh one
+    resumed = []
+    resume = machine_r._resume
+    monkeypatch.setattr(machine_r, "_resume",
+                        lambda *args: resumed.append(resume(*args)) or resumed[-1])
+    io = Alphabet("01")
+    program = build_function(flip_machine(), io)
+    state = MachineRState(current=encode_theta(App(program, encode_string(io, "0110"))))
+    while find_redex_pass(state) == FOUND:
+        substitute_pass(state)
+        reassemble_pass(state)
+    for (stack, fn), plan in state.plans.items():
+        assert plan == machine_r._make_plan(fn, stack)
+    assert sum(plan is not None for plan in resumed) > len(state.plans) // 5
+
+
+def _checking_the_key_index(monkeypatch):
+    """Make every plan lookup check that the sorted index holds exactly the
+    memo's keys."""
+    plan = machine_r._plan
+
+    def checked(state):
+        got = plan(state)
+        assert state.plan_keys == sorted(state.plans)
+        return got
+    monkeypatch.setattr(machine_r, "_plan", checked)
+
+
+def test_the_key_index_follows_a_small_memo(monkeypatch):
+    monkeypatch.setattr(machine_r, "PLAN_MEMO_SIZE", 2)
+    _checking_the_key_index(monkeypatch)
+    io = Alphabet("01")
+    theta = encode_theta(App(build_function(flip_machine(), io), encode_string(io, "10")))
+    assert mr_normalize(theta).normalized
+
+
+def test_the_key_index_follows_the_tape_limit(monkeypatch):
+    monkeypatch.setattr(machine_r, "TAPE_LIMIT", 10)
+    _checking_the_key_index(monkeypatch)
+    state = MachineRState(current="")
+    for fn in ("λ▶0", "λλ▶1", "λλ▶0", "λ▶", "λλλ▶10▶0▶1", "λλλλλλλλ▶0▶0"):
+        for stack in ("", "F"):
+            state.functional, state.stack_redex = fn, stack
+            machine_r._plan(state)
+
+
+def test_the_plan_memo_holds_its_checkpoints_in_few_bytes_per_key_symbol():
+    # the memo after compiled FLIP on 8 bits holds 256 plans of 133,745 key
+    # symbols: 4.7 bytes per key symbol without checkpoints, 5.6 with one
+    # every 16 ▶ tokens, 8.8 with one every 4 and 21 with one per token
+    io = Alphabet("01")
+    program = build_function(flip_machine(), io)
+    theta = encode_theta(App(program, encode_string(io, "01101001")))
+    tracemalloc.start()
+    try:
+        state = MachineRState(current=theta)
+        while find_redex_pass(state) == FOUND:
+            substitute_pass(state)
+            reassemble_pass(state)
+        held = tracemalloc.get_traced_memory()[0]
+        symbols = state.plan_symbols
+        state.plans.clear()
+        state.plan_keys.clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert symbols > 100_000
+    assert freed < 8 * symbols
+
+
+def test_compiled_flip_on_16_bits_keeps_its_counts():
+    # recorded before plans resumed from checkpoints: on longer tapes the
+    # resumed plans start from deeper checkpoints than on 8 bits
+    io = Alphabet("01")
+    program = build_function(flip_machine(), io)
+    result = mr_normalize(encode_theta(App(program, encode_string(io, "0110100110010110"))))
+    assert result.normalized
+    assert (result.op_count, len(result.iterations)) == (21_417_457, 1_307)
+    assert decode_theta(result.theta) == encode_string(io, "1001011001101001")

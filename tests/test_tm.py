@@ -9,6 +9,7 @@ from cbvcost import (
     even_palindrome_machine, flip_machine, initial_config, normalize,
     parse_tm, project, run_compiled, simulate_tm, tm_step,
 )
+from cbvcost import turing
 from cbvcost.turing import FLIP_SPEC
 
 from conftest import DECLARATION_FAULTS
@@ -225,6 +226,24 @@ def test_run_compiled_rejects_foreign_input():
     m = flip_machine()
     with pytest.raises(Exception):
         run_compiled(m, "2")
+
+
+def test_run_compiled_builds_the_program_once_per_machine(monkeypatch):
+    # the program is memoized by the machine's content, not its identity:
+    # a machine parsed twice is built once, a changed transition again
+    built = []
+    build = turing.build_function
+    monkeypatch.setattr(turing, "build_function",
+                        lambda m, io: built.append(m) or build(m, io))
+    turing._program.cache_clear()
+    first = run_compiled(flip_machine(), "0110")
+    assert run_compiled(parse_tm(FLIP_SPEC), "0110") == first
+    assert len(built) == 1 and built[0] == flip_machine()
+    changed = parse_tm(FLIP_SPEC.replace("q0 1 -> q0 0 R", "q0 1 -> q0 1 R"))
+    assert run_compiled(changed, "0110").output == "1111"
+    assert len(built) == 2
+    assert run_compiled(flip_machine(), "0110") == first
+    assert len(built) == 2
 
 
 def test_io_alphabet_outside_the_machine_alphabet_is_rejected():
