@@ -40,6 +40,27 @@ STRATEGIES = (LEFTMOST, RIGHTMOST, RANDOM)
 
 Position = tuple[str, ...]
 
+# A trace stores a position as a code: a leading 1, then one bit per frame
+# from the root down, 0 for FUN and 1 for ARG; the root's code is 1.
+_BITS = str.maketrans({FUN: "0", ARG: "1"})
+_SIDES = str.maketrans({"0": FUN, "1": ARG})
+
+
+def _code(path: list[str]) -> int:
+    """The code of the sides `path`, from the root down."""
+    if len(path) <= 20:
+        # shallow, the common case: a loop beats building a string
+        code = 1
+        for side in path:
+            code += code + (side is ARG)
+        return code
+    return int("1" + "".join(path).translate(_BITS), 2)
+
+
+def _sides(code: int) -> Position:
+    """The sides that the position code `code` stands for, from the root down."""
+    return tuple(bin(code)[3:].translate(_SIDES))
+
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
@@ -53,12 +74,13 @@ class CostTrace:
 
     `sizes` holds the size of the term after each step, in an
     `array('q')` until a size passes 2⁶³ − 1 and in a list of ints from
-    then on.  `positions` lists each step's position tuple, shared between
-    steps that fire at the same position.  A step's cost is not stored:
-    `_costs` derives it from consecutive sizes.  `total_cost` is their sum,
-    kept up to date by `record` (the closure machine adds it up once, when
-    its run ends), so reading it, like the step count, is O(1); `steps`
-    builds the `TraceStep` records on each access.
+    then on.  `positions` lists each step's position code (one bit per
+    frame, see `_code`), which the closure machine shares between steps
+    that fire at the same position.  A step's cost is not stored: `_costs`
+    derives it from consecutive sizes.  `total_cost` is their sum, kept up
+    to date by `record` (the closure machine adds it up once, when its run
+    ends), so reading it, like the step count, is O(1); `steps` builds the
+    `TraceStep` records, with their position tuples, on each access.
     """
 
     __slots__ = ("initial_size", "total_cost", "sizes", "positions")
@@ -67,9 +89,9 @@ class CostTrace:
         self.initial_size = initial_size
         self.total_cost = 0
         self.sizes = array("q")
-        self.positions: list[Position] = []
+        self.positions: list[int] = []
 
-    def record(self, position: Position, size_after: int) -> None:
+    def record(self, position: int, size_after: int) -> None:
         (cost,) = _costs(self.sizes[-1] if self.sizes else self.initial_size, (size_after,))
         self.total_cost += cost
         try:
@@ -80,8 +102,8 @@ class CostTrace:
 
     @property
     def steps(self) -> list[TraceStep]:
-        return list(map(TraceStep, self.positions, _costs(self.initial_size, self.sizes),
-                        self.sizes))
+        return list(map(TraceStep, map(_sides, self.positions),
+                        _costs(self.initial_size, self.sizes), self.sizes))
 
     def __eq__(self, other):
         if not isinstance(other, CostTrace):
@@ -186,9 +208,8 @@ class Zipper:
     itself a redex: its child on the path is an application) and `size` is
     the size of the whole term.  A step therefore builds applications only
     for the frames it climbs and for the substitution, never for the whole
-    spine.  Given a `trace`, each step records its position and the new
-    size in it, which copies the path into the step's position tuple: the
-    one cost left in the depth.
+    spine.  Given a `trace`, each step records its position code and the
+    new size in it; encoding the path is the one cost left in the depth.
     """
 
     __slots__ = ("focus", "parents", "path", "before", "after", "size", "trace")
@@ -248,7 +269,7 @@ class Zipper:
         reduct = substitute_top(node.fun.body, node.arg)
         self.size += reduct.size - node.size
         if self.trace is not None:
-            self.trace.record(tuple(self.path), self.size)
+            self.trace.record(_code(self.path), self.size)
         self.focus = reduct
         if self.parents:
             self._up()
@@ -265,8 +286,9 @@ class Zipper:
 #
 # A machine value is a triple.  (code, env, size) stands for a term value:
 # code is an Abs or a FreeVar of the input, env the values of code's dangling
-# indices (env[i] for index i) and size the size of the term it stands for.
-# (None, fun, arg) is a stuck application of two machine values.
+# indices (env[i] for index i) and size the size of the term it stands for,
+# or None for an abstraction's closure in function position, whose size is
+# never read.  (None, fun, arg) is a stuck application of two machine values.
 
 def _dangling(t: Term) -> dict[int, int]:
     """How often each dangling index of `t` occurs in it, by index."""
@@ -287,13 +309,13 @@ def _dangling(t: Term) -> dict[int, int]:
     return counts
 
 
-def _count_uses(uses: dict, lam: Abs) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """From one walk of `lam`'s body, stored in `uses` under `lam`'s id: how
-    often the body uses index 0, `lam`'s bound index, and each other index
-    i, which is `lam`'s dangling index i - 1."""
+def _count_uses(lam: Abs) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """From one walk of `lam`'s body, cached in `lam.uses`: how often the
+    body uses index 0, `lam`'s bound index, and each other index i, which
+    is `lam`'s dangling index i - 1."""
     counts = _dangling(lam.body)
-    entry = uses[id(lam)] = (counts.pop(0, 0), tuple(counts.items()))
-    return entry
+    lam.uses = (counts.pop(0, 0), tuple(counts.items()))
+    return lam.uses
 
 
 def _read_back(roots: list[tuple]) -> list[Term]:
@@ -334,34 +356,38 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
     normal form, so after a step the next one lies in the reduct or above
     it, where evaluation goes on.  Firing (λM)[env] on a value V enters M
     with V bound, and the step's growth is k(|V| − 1) − |V| − 2 for the k
-    occurrences of the bound index in M.  A step's position is the sides of
-    the frames from the root down to it.  Out of fuel, the machine
-    evaluates on to the next step without taking it and plugs the redex
-    into its frames: the term the Zipper would hold.
+    occurrences of the bound index in M, counted once per abstraction node
+    and cached on it.  A closure in function position is fired or stuck,
+    never bound, so it is left unsized.  The frames' sides are kept as one
+    position code (see `_code`): a push doubles it, FUN → ARG adds 1 and a
+    pop halves it, and a step records it as its position.  Out of fuel, the
+    machine evaluates on to the next step without taking it and plugs the
+    redex into its frames: the term the Zipper would hold.
     """
-    # per Abs node of the input, counted once: the uses of its bound index
-    # and of its dangling indices, which size its closures
-    uses: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    # equal positions share one tuple: a run revisits few of them
-    interned: dict[Position, Position] = {}
+    # equal positions share one code: a run revisits few of them
+    interned: dict[int, int] = {}
     trace = CostTrace(t.size)
     sizes, positions = trace.sizes, trace.positions
     size = t.size
     # FUN frame: (argument code, env) still to evaluate; ARG frame: the
-    # function's value.  `path` holds the side of each frame.
+    # function's value.  `path` is the position code of the frames.
     frames: list[tuple] = []
-    path: list[str] = []
+    path = 1
     code, env = t, ()
     while True:
         while type(code) is App:
             frames.append((code.arg, env))
-            path.append(FUN)
+            path += path
             code = code.fun
         if type(code) is Abs:
-            value_size = code.size
-            if code.max_index >= 0:
-                for i, n in (uses.get(id(code)) or _count_uses(uses, code))[1]:
-                    value_size += n * (env[i - 1][2] - 1)
+            if path & 1:
+                value_size = code.size
+                if code.max_index >= 0:
+                    for i, n in (code.uses or _count_uses(code))[1]:
+                        value_size += n * (env[i - 1][2] - 1)
+            else:
+                # fired or stuck, never bound: None makes a wrong read fail
+                value_size = None
             # keep only the bindings the code can reach, so that a value
             # does not hold on to its whole scope
             value = (code, env[:code.max_index + 1], value_size)
@@ -369,33 +395,33 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
             value = env[code.index]
         else:
             value = (code, (), 1)
-        while path:
-            if path[-1] is FUN:
+        while path > 1:
+            if not path & 1:
                 code, env = frames[-1]
                 frames[-1] = value
-                path[-1] = ARG
+                path += 1
                 break
-            path.pop()
+            path >>= 1
             fun = frames.pop()
             lam = fun[0]
             if type(lam) is Abs and value[0] is not None:
                 if len(positions) == fuel:
-                    pending = [f if side is ARG else (*f, None) for side, f in zip(path, frames)]
+                    sides = _sides(path)
+                    pending = [f if side == ARG else (*f, None) for side, f in zip(sides, frames)]
                     lam_term, arg, *others = _read_back([fun, value] + pending)
                     node = App(lam_term, arg)
-                    for side, other in zip(reversed(path), reversed(others)):
-                        node = App(node, other) if side is FUN else App(other, node)
+                    for side, other in zip(reversed(sides), reversed(others)):
+                        node = App(node, other) if side == FUN else App(other, node)
                     trace.total_cost = sum(_costs(t.size, sizes))
                     return ReductionOutcome(node, trace, False)
-                k = (uses.get(id(lam)) or _count_uses(uses, lam))[0]
+                k = (lam.uses or _count_uses(lam))[0]
                 value_size = value[2]
                 size += k * (value_size - 1) - value_size - 2
                 try:
                     sizes.append(size)
                 except OverflowError:
                     sizes = trace.sizes = [*sizes, size]
-                position = tuple(path)
-                positions.append(interned.setdefault(position, position))
+                positions.append(interned.setdefault(path, path))
                 code, env = lam.body, (value,) + fun[1]
                 break
             value = (None, fun, value)
@@ -450,7 +476,7 @@ def write_trace_csv(trace: CostTrace, fp) -> None:
     writer.writerow(["step", "cost", "size_after", "position"])
     writer.writerows(zip(range(1, len(trace.positions) + 1),
                          _costs(trace.initial_size, trace.sizes), trace.sizes,
-                         map("/".join, trace.positions)))
+                         map("/".join, map(_sides, trace.positions))))
 
 
 # --- term source ------------------------------------------------------------

@@ -9,6 +9,10 @@ and its free variables are names, which cannot be captured.
 Every node caches its size, its count of reachable redexes, the largest
 dangling de Bruijn index and a free-variable flag, so the reduction engine
 can locate redexes and compute step costs without rescanning whole terms.
+An abstraction also has a `uses` slot, None until the closure machine
+first fires or sizes a closure of it and then filled with the occurrence
+counts of its body's indices; like the other caches it depends only on the
+immutable body, so it stays valid for every later run.
 Alpha-equivalence coincides with structural equality in this representation.
 """
 
@@ -106,12 +110,15 @@ class FreeVar(Term):
 
 
 class Abs(Term):
-    __slots__ = ("body",)
+    """`λ.body`.  `uses` is None until `reduction._count_uses` fills it."""
+
+    __slots__ = ("body", "uses")
 
     is_value = True
 
     def __init__(self, body: Term):
         self.body = body
+        self.uses = None
         self.size = 1 + body.size
         # evaluation is lazy: nothing under a binder counts as a redex
         self.n_redexes = 0

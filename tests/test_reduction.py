@@ -16,7 +16,7 @@ from cbvcost import (
     size, step_at, time_of, write_trace_csv,
 )
 from cbvcost import reduction
-from cbvcost.reduction import CostTrace, TraceStep, Zipper
+from cbvcost.reduction import ARG, FUN, CostTrace, TraceStep, Zipper, _code, _sides
 
 from conftest import terms, within_a_second
 from reference import enumerate_closed_terms, find_redexes, subterm_at, zipper_leftmost
@@ -310,13 +310,20 @@ def test_leftmost_shares_a_doubling_normal_form():
         _same_outcome(t, 30)
 
 
+def k_chain(depth):
+    """K (K (... (K a))), `depth` applications of K = \\x.\\y.x deep."""
+    k = parse_term(r"\x.\y.x")
+    t = FreeVar("a")
+    for _ in range(depth):
+        t = App(k, t)
+    return t
+
+
 def test_leftmost_reads_back_a_deep_chain():
     # K (K (... (K a))): values nest as deep as the chain, and so do the
     # frames and the positions; 1200 is past Python's recursion limit
     k = parse_term(r"\x.\y.x")
-    t = FreeVar("a")
-    for _ in range(1200):
-        t = App(k, t)
+    t = k_chain(1200)
     assert _same_outcome(t, 100_000).normalized
     _same_outcome(t, 1)
     # let v1 = K a in let v2 = K v1 in ... v5000: the same 5000-deep value,
@@ -388,13 +395,28 @@ def test_trace_csv_bytes_of_growth_terms(pair, strategy, digest):
     assert _csv_sha256(normalize(t, strategy, seed=123)) == digest
 
 
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_trace_csv_bytes_of_a_deep_chain(strategy):
+    # positions up to 1199 frames deep, past a 63-bit code: the machine's
+    # codes and the Zipper's encoded paths take the same big ints
+    outcome = normalize(k_chain(1200), strategy)
+    assert _csv_sha256(outcome) == (
+        "214d60705f914042eb1c2045fd0651d97f5e3d47a72794d17dc72e7cc8f76441")
+
+
+@given(st.lists(st.sampled_from((FUN, ARG)), max_size=200))
+def test_a_position_code_decodes_to_its_sides(path):
+    assert _sides(_code(path)) == tuple(path)
+    assert _code([]) == 1
+
+
 # --- the trace: columns, running weight, int64 fallback ----------------------
 
 def test_trace_of_the_palindrome_run_holds_its_columns_only(palindrome_40):
     # a size is an 8-byte array entry and a position an 8-byte list slot
-    # pointing at a shared tuple: 16 bytes per step, plus the growth
-    # headroom CPython leaves in an array (at most 1/16) and a list (at most
-    # 1/8), so at most 18; the few shared tuples fit in the fixed 64 KiB.
+    # pointing at a shared int: 16 bytes per step, plus the growth headroom
+    # CPython leaves in an array (at most 1/16) and a list (at most 1/8), so
+    # at most 18; the few shared position codes fit in the fixed 64 KiB.
     # Costs are derived, not stored; a TraceStep per step held about 100.
     normalize(palindrome_40, "leftmost", 1_000_000)  # warm up
     tracemalloc.start()
@@ -406,6 +428,22 @@ def test_trace_of_the_palindrome_run_holds_its_columns_only(palindrome_40):
         tracemalloc.stop()
     assert outcome.steps == 34_895
     assert held <= 18 * outcome.steps + 64 * 1024
+
+
+def test_trace_of_a_deep_chain_holds_a_bit_per_frame():
+    # the 5000 steps fire at 5000 distinct positions, 2500 frames deep on
+    # average: one bit per frame is about 1.6 MB, where a tuple slot per
+    # frame held 96.7 MB
+    t = k_chain(5000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        outcome = normalize(t, "leftmost", 100_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert outcome.normalized and outcome.steps == 5000
+    assert held < 8 * 1024 * 1024
 
 
 class _Discard:
