@@ -42,19 +42,15 @@ Position = tuple[str, ...]
 
 # A trace stores a position as a code: a leading 1, then one bit per frame
 # from the root down, 0 for FUN and 1 for ARG; the root's code is 1.
-_BITS = str.maketrans({FUN: "0", ARG: "1"})
 _SIDES = str.maketrans({"0": FUN, "1": ARG})
 
 
 def _code(path: list[str]) -> int:
     """The code of the sides `path`, from the root down."""
-    if len(path) <= 20:
-        # shallow, the common case: a loop beats building a string
-        code = 1
-        for side in path:
-            code += code + (side is ARG)
-        return code
-    return int("1" + "".join(path).translate(_BITS), 2)
+    code = 1
+    for side in path:
+        code += code + (side is ARG)
+    return code
 
 
 def _sides(code: int) -> Position:
@@ -76,7 +72,7 @@ class CostTrace:
     `array('q')` until a size passes 2⁶³ − 1 and in a list of ints from
     then on.  `positions` lists each step's position code (one bit per
     frame, see `_code`), which the closure machine shares between steps
-    that fire at the same position.  A step's cost is not stored: `_costs`
+    that fire at the same position.  A step's cost is not stored: `_cost`
     derives it from consecutive sizes.  `total_cost` is their sum, kept up
     to date by `record` (the closure machine adds it up once, when its run
     ends), so reading it, like the step count, is O(1); `steps` builds the
@@ -92,8 +88,7 @@ class CostTrace:
         self.positions: list[int] = []
 
     def record(self, position: int, size_after: int) -> None:
-        (cost,) = _costs(self.sizes[-1] if self.sizes else self.initial_size, (size_after,))
-        self.total_cost += cost
+        self.total_cost += _cost(self.sizes[-1] if self.sizes else self.initial_size, size_after)
         try:
             self.sizes.append(size_after)
         except OverflowError:
@@ -118,13 +113,18 @@ class CostTrace:
                 f"steps={len(self.positions)}, total_cost={self.total_cost})")
 
 
+def _cost(before: int, after: int) -> int:
+    """The cost of one step, max(1, size after − size before)."""
+    growth = after - before
+    return growth if growth > 1 else 1
+
+
 def _costs(size: int, sizes_after: Iterable[int]) -> Iterator[int]:
-    """The cost of each step, max(1, size after − size before), from the
-    size before the first step and the size after each; a stream, so a
-    whole trace's costs are never held at once."""
+    """The cost of each step, from the size before the first step and the
+    size after each; a stream, so a whole trace's costs are never held at
+    once."""
     for after in sizes_after:
-        growth = after - size
-        yield growth if growth > 1 else 1
+        yield _cost(size, after)
         size = after
 
 

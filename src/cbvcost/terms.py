@@ -34,7 +34,9 @@ class InvalidPositionError(TermError):
 
 
 class Term:
-    """A lambda term.  Instances are immutable after construction."""
+    """A lambda term.  Instances are immutable after construction, except
+    for `Abs.uses`, a cache of occurrence counts filled in when first
+    needed; it depends only on the immutable body."""
 
     __slots__ = ("size", "n_redexes", "max_index", "has_free", "_hash")
 
