@@ -23,13 +23,18 @@ on whole tapes.  Every tape is a `str`, written with slices and joins.
 A pass charges each copied subterm and the binary Counter's arithmetic in
 closed form.  The find pass steps over one structural token at a time
 (an @, a ▶ with its digits, or a whole abstraction) and resumes where the
-last iteration changed Current.  The substitute pass replays a plan memoized
-per Functional string; a missed plan resumes from a checkpoint of the
-memoized plan whose Functional shares the longest prefix with it.  Each
-count equals the symbol-by-symbol one;
-`tests/reference.py` keeps both the symbol-by-symbol machine and the
+last iteration changed Current.  The substitute pass replays a plan
+memoized per Functional string.  Each count equals the symbol-by-symbol
+one; `tests/reference.py` keeps both the symbol-by-symbol machine and the
 closed-form passes on list tapes that this module replaced, and the tests
 run all three in lockstep.
+
+A run keeps one index of the Arguments with an @ it has copied, the
+values substitution copies into Reducts.  The find pass takes a known
+subterm's end and charge from it.  A plan steps over a known closed
+subterm in one move: it holds no occurrence, so it adds only its charge,
+memoized per (subterm, Counter value), and then closes the frames the
+subterm completes.
 
 The structure stacks are persistent linked lists of runs of frames, so a
 push takes O(1), a pop O(1) amortized, and a checkpoint shares the stack
@@ -39,18 +44,17 @@ its end, for StackTerm or StackRedex.
 A run has a tape budget: `mr_normalize` stops, with reason "tape_limit",
 before an iteration that would write a Current longer than `TAPE_LIMIT`
 symbols.  Every other tape is a piece of Current or of the next one, the
-find pass keeps O(1) per top-level token of Current, and the plan memo
-holds at most `PLAN_MEMO_SIZE` plans of at most `TAPE_LIMIT` symbols in
-all.  A plan keeps a checkpoint every `CHECK_EVERY` ▶ tokens of its
-Functional, O(|Functional| / CHECK_EVERY) entries whose structure stacks
-share the frames the plan pushed, so it too holds O(|Functional|).  So a
-run holds memory linear in the longer of its input and the budget.
+find pass keeps O(1) per top-level token of Current, the plan memo holds
+at most `PLAN_MEMO_SIZE` plans of at most `TAPE_LIMIT` symbols in all,
+and the index at most `TAPE_LIMIT` symbols, one per memoized charge
+included.  So a run holds memory linear in the longer of its input and
+the budget.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -74,11 +78,8 @@ TAPE_LIMIT = 1 << 18
 # they hold at most TAPE_LIMIT symbols of Functional and StackRedex
 PLAN_MEMO_SIZE = 256
 
-# a plan keeps a checkpoint every CHECK_EVERY ▶ tokens of its Functional; a
-# missed Functional resumes from one in the plan it shares a prefix with
-CHECK_EVERY = 16
-
 _DIGITS = re.compile("[01]*")
+_APP_LAM = APP + LAM
 # whole tokens: where a run of them stops, a symbol-by-symbol copy faults
 _TOKENS = re.compile("(?:[λ@]|▶[01]*)*")
 # the frame each symbol of a run pushes on StackRedex
@@ -117,16 +118,71 @@ class _Scan(NamedTuple):
 class _Plan(NamedTuple):
     """A substitution with the Argument left out: the Reduct is
     `argument.join(segments)` and the charge `ops + 2 * |argument| *
-    occurrences`.  `stack` and `counter` are the tapes the pass leaves.
-    `checkpoints` hold the plan's state at every CHECK_EVERY-th ▶ of the
-    Functional: (its position, literal start, occurrences, d, flips, ops,
-    structure stack), which depends only on the Functional up to that ▶."""
+    occurrences`.  `stack` and `counter` are the tapes the pass leaves."""
     segments: list[str]
     ops: int
     occurrences: int
     stack: str
     counter: str
-    checkpoints: list[tuple]
+
+
+class _Index:
+    """The Arguments with an @ that a run has copied, sorted in `keys`.
+    `entries` gives each, oldest first, the subterm, the charge of copying
+    it, its ▶ count and, by Counter value, the charge of stepping over it
+    in a plan.  Like the plan memo, it drops its oldest subterms to hold
+    at most TAPE_LIMIT symbols, one per charge of a step included, but
+    always keeps the newest."""
+
+    __slots__ = ("keys", "entries", "symbols", "longest")
+
+    def __init__(self) -> None:
+        self.keys: list[str] = []
+        self.entries: dict[str, tuple] = {}
+        self.symbols = self.longest = 0
+
+    def find(self, tape: str, start: int) -> tuple | None:
+        """The entry of the subterm at `tape[start]`, if known.  No term is
+        a prefix of another, but an index's digits may run on (▶1, ▶10):
+        so only the greatest key not above the rest of the tape can be it,
+        and only if no digit follows it there."""
+        keys = self.keys
+        i = bisect_right(keys, tape[start:start + self.longest])
+        if i:
+            key = keys[i - 1]
+            if tape.startswith(key, start) and not tape.startswith(("0", "1"), start + len(key)):
+                return self.entries[key]
+        return None
+
+    def add(self, key: str, charge: int) -> None:
+        """Record the subterm `key` and its copy charge, unless it has no @."""
+        if APP in key and key not in self.entries:
+            self._make_room(len(key))
+            self.entries[key] = (key, charge, key.count(MARK), {})
+            insort(self.keys, key)
+            self.longest = max(self.longest, len(key))
+
+    def charge(self, entry: tuple, d: int) -> int | None:
+        """The charge of substituting through the subterm of `entry` with
+        the Counter at `d`: its frames popped at its end, none below.  None
+        if the subterm is not closed."""
+        charges = entry[3]
+        if d not in charges:
+            charges[d] = None  # counted now, and dropped with the entry
+            self._make_room(1)
+            walked = _walk(entry[0], 0, d, None, self, None)
+            charges[d] = None if walked is None else walked[0]
+        return charges[d]
+
+    def _make_room(self, size: int) -> None:
+        """Count `size` more symbols, first dropping the oldest subterms
+        while more than TAPE_LIMIT would be held."""
+        entries = self.entries
+        while entries and self.symbols + size > TAPE_LIMIT:
+            key, _, _, charges = entries.pop(next(iter(entries)))
+            self.symbols -= len(key) + len(charges)
+            del self.keys[bisect_left(self.keys, key)]
+        self.symbols += size
 
 
 @dataclass
@@ -143,11 +199,11 @@ class MachineRState:
     op_count: int = 0
     iterations: list[IterationStats] = field(default_factory=list)
     # the last find pass's checkpoints, the substitution plans by StackRedex
-    # and Functional, those keys in sorted order, and their symbols
+    # and Functional and their symbols, and the subterms copied so far
     scan: _Scan | None = field(default=None, repr=False)
     plans: dict[tuple[str, str], _Plan] = field(default_factory=dict, repr=False)
-    plan_keys: list[tuple[str, str]] = field(default_factory=list, repr=False)
     plan_symbols: int = field(default=0, repr=False)
+    index: _Index = field(default_factory=_Index, repr=False)
 
 
 def _close(stack: Stack) -> tuple[Stack, int, int]:
@@ -183,7 +239,7 @@ def _runs(k: int) -> re.Pattern:
     return re.compile(f"(?:[λ@]*▶[01]*){{{k}}}")
 
 
-def _copy(tape: str, start: int) -> tuple[int, int]:
+def _copy(tape: str, start: int, index: _Index | None = None) -> tuple[int, int]:
     """The end of the complete subterm of `tape` that starts at `start`,
     and the charge of copying it through StackRedex, empty before and
     after: a read and a write per symbol, per @ a push and a pop of F and
@@ -191,7 +247,8 @@ def _copy(tape: str, start: int) -> tuple[int, int]:
 
     `need` counts the subterms still to read: each ▶ completes one and
     each @ adds one, so a round reads `need` marks at once and then owes
-    one subterm per @ it read."""
+    one subterm per @ it read.  A subterm that needs a second round is
+    taken from `index` if known there."""
     count = tape.count
     pos = start
     need = 1
@@ -202,6 +259,10 @@ def _copy(tape: str, start: int) -> tuple[int, int]:
             raise _copy_fault(tape, start)
         end = m.end()
         need = count(APP, pos, end)
+        if need and pos == start and index is not None:
+            entry = index.find(tape, start)
+            if entry is not None:
+                return start + len(entry[0]), entry[1]
         apps += need
         pos = end
     return pos, 2 * (pos - start) + 4 * apps + 2 * count(LAM, start, pos)
@@ -232,6 +293,7 @@ def find_redex_pass(state: MachineRState) -> str:
     """
     cur = state.current
     n = len(cur)
+    index = state.index
     pos, ops, stack = 0, 0, None
     checkpoints: list[tuple[int, int, Stack]] = []
     last, state.scan = state.scan, None
@@ -244,18 +306,19 @@ def find_redex_pass(state: MachineRState) -> str:
         sym = cur[pos]
         if sym == LAM:
             # every abstraction is copied wholesale: no redexes inside count
-            end, charge = _copy(cur, pos)
+            end, charge = _copy(cur, pos, index)
             ops += 1 + charge
             if end < n:
                 ops += 1  # read the symbol after it
                 # this pass pushes no frame but F: the top is an F unless
                 # S frames sit on it
                 if stack and not stack[2] and cur[end] in (LAM, MARK):
-                    arg_end, charge = _copy(cur, end)
+                    arg_end, charge = _copy(cur, end, index)
                     ops += charge + 2 * (n - arg_end)
                     state.preredex = cur[:pos]
                     state.functional = cur[pos:end]
                     state.argument = cur[end:arg_end]
+                    index.add(state.argument, charge)
                     state.postredex = cur[arg_end:]
                     state.stack_term = _frames(stack)
                     state.op_count += ops
@@ -283,132 +346,116 @@ def find_redex_pass(state: MachineRState) -> str:
     return NO_REDEX
 
 
-def _make_plan(fn: str, tape: str) -> _Plan:
+def _make_plan(fn: str, tape: str, index: _Index) -> _Plan:
     """The substitution of Functional `fn`, with StackRedex starting as
     `tape`: read (and erase) the leading λ, set the Counter to 0, go on."""
     stack = (tape, len(tape), 0, None) if tape else None
-    return _extend(fn, [], [], (-1, 1, 0, 0, 0, 2, stack))
+    segments: list[str] = []
+    ops, occurrences, d, stack, literal = _walk(fn, 1, 0, stack, index, segments)
+    segments.append(fn[literal:])
+    return _Plan(segments, ops + 2, occurrences, _frames(stack), format(d, "b"))
 
 
-def _extend(fn: str, segments: list[str], checkpoints: list[tuple],
-            start: tuple) -> _Plan:
-    """The plan of `fn` from the checkpoint `start` on, one ▶ token at a
-    time; `segments` and `checkpoints` are the plan's up to `start`.
+def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
+          segments: list[str] | None) -> tuple | None:
+    """Substitute from `fn[at]` on with the Counter at `d`.  Returns the
+    operations, occurrences, Counter, stack and the start of the literal
+    text after the last occurrence; `segments` gets the text before each.
+    A known closed subterm at the first λ after a ▶'s digits or after an @
+    is stepped over.  With `segments` None, the walk charges the subterm
+    `fn` on an empty stack, or returns None if `fn` is not closed.
 
     Between two marks lies a run of λ and @, each read, written and
     pushed.  Counting the Counter up from 0 to d visits 2d - popcount(d)
     digits (`flips` below), so the increments of a run and the decrements
     of a close cost the difference of two such counts; a decrement also
     drops the leading zero at each power of two from 2 up."""
-    pos, literal, occurrences, d, flips, ops, stack = start
-    # "λ" and a run, then per ▶: digits and a run; pos is the ▶ before a piece
-    pieces = fn[pos + 1:].split(MARK)
-    countdown = CHECK_EVERY
-    for piece in pieces:
-        if pos >= 0:
-            run = piece.lstrip("01")
-            digits = len(piece) - len(run)
-            width = d.bit_length() or 1
-            ops += 2 + digits + min(width, digits)  # reads; compare
-            if digits == width and piece[:digits] == format(d, "b"):
-                segments.append(fn[literal:pos])
-                literal = pos + 1 + digits
-                occurrences += 1
-            else:
-                ops += 1 + digits  # write
-            # closing abstraction bodies lowers the depth counter
-            stack, closing, closed = _close(stack)
-            if closed > d:
-                raise MachineRError("depth counter underflow")
-            ops += closing
-            if closed:
-                e = d - closed
-                down = 2 * e - e.bit_count()
-                # and the leading zeros dropped at 2, 4, 8, ... in (e, d]
-                ops += flips - down + d.bit_length() - max(e, 1).bit_length()
-                d, flips = e, down
-        else:
-            run = piece[1:]
+    base = d
+    flips = 2 * d - d.bit_count()
+    ops = occurrences = 0
+    literal = start = at
+    pieces = fn.split(MARK)
+    last = len(pieces) - 1
+    i = 0
+    run = pieces[0][at:]  # fn[start:] up to the next ▶
+    while True:
+        known = None
+        if APP in run:  # only a subterm with an @ is known
+            k = 0 if i and run[0] == LAM else run.find(_APP_LAM) + 1 or -1
+            while k >= 0 and run.find(APP, k) >= 0:
+                known = index.find(fn, start + k)
+                if known is not None:
+                    charge = index.charge(known, d + run.count(LAM, 0, k))
+                    if charge is not None:
+                        run = run[:k]
+                        break
+                    known = None
+                k = run.find(_APP_LAM, k) + 1 or -1
         lams = run.count(LAM)
         if lams + run.count(APP) != len(run):
             bad = next(sym for sym in run if sym not in (LAM, APP))
             raise MachineRError(f"unexpected symbol {bad!r} on Functional")
         if run:
             stack = (run.translate(_FRAMES), len(run), 0, stack)
-        ops += 3 * len(run)  # read, write, push
+            ops += 3 * len(run)  # read, write, push
         if lams:
             d += lams
             up = 2 * d - d.bit_count()
             ops += up - flips
             flips = up
-        pos += len(piece) + 1
-        countdown -= 1
-        if not countdown:
-            countdown = CHECK_EVERY
-            if pos < len(fn):
-                checkpoints.append((pos, literal, occurrences, d, flips, ops, stack))
-    segments.append(fn[literal:])
-    return _Plan(segments, ops, occurrences, _frames(stack), format(d, "b"), checkpoints)
-
-
-def _shared(a: str, b: str) -> int:
-    """The length of the longest common prefix of `a` and `b`."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
+        if known is not None:
+            ops += charge
+            start += k + len(known[0])
+            i += known[2]
+            run = pieces[i].lstrip("01")  # after the digits that end the subterm
+        elif i == last:
+            return ops, occurrences, d, stack, literal
         else:
-            hi = mid - 1
-    return lo
-
-
-def _resume(plans: dict[tuple[str, str], _Plan], near: list[tuple[str, str]],
-            key: tuple[str, str]) -> _Plan | None:
-    """The plan of `key` resumed from the plan, among those of the keys
-    `near` with the same StackRedex, whose Functional shares the longest
-    prefix with key's: from its last checkpoint whose ▶ lies in that
-    prefix.  None if there is no such checkpoint."""
-    stack, fn = key
-    bases = [other for other in near if other[0] == stack and plans[other].checkpoints]
-    if not bases:
-        return None
-    shared, base = max((_shared(other[1], fn), other) for other in bases)
-    base = plans[base]
-    at = bisect_left(base.checkpoints, (shared,))
-    if not at:
-        return None
-    start = base.checkpoints[at - 1]
-    return _extend(fn, base.segments[:start[2]], base.checkpoints[:at], start)
+            mark = start + len(run)
+            i += 1
+            piece = pieces[i]
+            run = piece.lstrip("01")
+            digits = len(piece) - len(run)
+            start = mark + 1 + digits
+            width = d.bit_length() or 1
+            ops += 2 + digits + min(width, digits)  # reads; compare
+            if segments is not None and digits == width and piece[:digits] == format(d, "b"):
+                segments.append(fn[literal:mark])
+                literal = start
+                occurrences += 1
+            elif segments is None and digits and int(piece[:digits], 2) >= d - base:
+                return None  # an index bound outside fn
+            else:
+                ops += 1 + digits  # write
+        # closing abstraction bodies lowers the depth counter
+        stack, closing, closed = _close(stack)
+        if closed > d:
+            raise MachineRError("depth counter underflow")
+        ops += closing
+        if closed:
+            e = d - closed
+            down = 2 * e - e.bit_count()
+            # and the leading zeros dropped at 2, 4, 8, ... in (e, d]
+            ops += flips - down + d.bit_length() - max(e, 1).bit_length()
+            d, flips = e, down
 
 
 def _plan(state: MachineRState) -> _Plan:
     """The plan of the state's StackRedex and Functional, memoized.  The
     memo drops its oldest plans to keep at most PLAN_MEMO_SIZE of them and
-    at most TAPE_LIMIT symbols of keys, but always keeps the newest.
-
-    A missed plan resumes from a checkpoint of a memoized one.  The key
-    sharing the longest prefix with the missed one sits next to it in
-    sorted order, so only those two neighbours are compared."""
+    at most TAPE_LIMIT symbols of keys, but always keeps the newest."""
     key = (state.stack_redex, state.functional)
     plans = state.plans
     plan = plans.get(key)
     if plan is None:
-        keys = state.plan_keys
-        if len(key[1]) >= CHECK_EVERY:  # no shorter Functional holds a checkpoint
-            i = bisect_left(keys, key)
-            plan = _resume(plans, keys[max(i - 1, 0):i + 1], key)
-        if plan is None:
-            plan = _make_plan(state.functional, state.stack_redex)
+        plan = _make_plan(state.functional, state.stack_redex, state.index)
         size = sum(map(len, key))
         while plans and (len(plans) >= PLAN_MEMO_SIZE
                          or state.plan_symbols + size > TAPE_LIMIT):
             oldest = next(iter(plans))
             del plans[oldest]
-            del keys[bisect_left(keys, oldest)]
             state.plan_symbols -= sum(map(len, oldest))
         plans[key] = plan
-        insort(keys, key)
         state.plan_symbols += size
     return plan
 

@@ -4,13 +4,13 @@ import tracemalloc
 import pytest
 
 from cbvcost import (
-    A_LAM, Alphabet, App, FreeVar, F_APP, FOUND, NO_REDEX,
+    A_LAM, Abs, Alphabet, App, FreeVar, F_APP, FOUND, NO_REDEX,
     MachineRError, MachineRState, MalformedThetaError,
-    build_function, decode_theta, encode_string, encode_theta, find_redex_pass,
-    flip_machine, mr_normalize, normalize, parse_term, random_closed_term,
+    build_function, decode_theta, encode_string, encode_theta, even_palindrome_machine,
+    find_redex_pass, flip_machine, mr_normalize, normalize, parse_term, random_closed_term,
     reassemble_pass, step_at, substitute_pass,
 )
-from cbvcost import machine_r
+from cbvcost import bench, machine_r
 
 import reference
 from reference import (
@@ -461,7 +461,7 @@ def test_one_functional_with_two_arguments(monkeypatch):
     planned = []
     make_plan = machine_r._make_plan
     monkeypatch.setattr(machine_r, "_make_plan",
-                        lambda fn, stack: planned.append(fn) or make_plan(fn, stack))
+                        lambda fn, *rest: planned.append(fn) or make_plan(fn, *rest))
     text = r"(\f.(\u.\v.v) (f (\a.a)) (f (\b.\c.b))) (\x.x)"
     theta = encode_theta(parse_term(text))
     seen = []
@@ -601,17 +601,20 @@ def test_passes_on_arbitrary_tapes_agree_with_the_references():
             current="", functional=functional, argument="λ▶0", stack_redex=stack))}
 
 
-# --- plans resumed from checkpoints ------------------------------------------
+# --- the index of known subterms ---------------------------------------------
 
-def _functionals(theta, iterations=10_000):
-    """Every Functional the machine reads normalizing `theta`."""
+def _functionals(theta, iterations):
+    """The Functionals the machine reads in its first iterations on
+    `theta`, and the state it leaves, whose index holds the subterms the
+    run copied."""
     seen = []
     state = MachineRState(current=theta)
-    while len(seen) < iterations and find_redex_pass(state) == FOUND:
+    while (len(seen) < iterations and len(state.current) < 5_000
+           and find_redex_pass(state) == FOUND):
         seen.append(state.functional)
         substitute_pass(state)
         reassemble_pass(state)
-    return seen
+    return seen, state
 
 
 def _plan_outcome(build):
@@ -621,93 +624,171 @@ def _plan_outcome(build):
         return str(e)
 
 
-@pytest.mark.parametrize("every", [1, 3, machine_r.CHECK_EVERY])
-def test_a_resumed_plan_equals_a_fresh_one(monkeypatch, every):
-    # a plan resumed from a checkpoint of a plan whose Functional shares a
-    # prefix with it is the fresh plan in every field, or the fresh plan's
-    # fault: edits, cuts and foreign tails after the shared prefix included.
-    # The plans of the same Functional under another StackRedex are offered
-    # too, and must not be used.
-    monkeypatch.setattr(machine_r, "CHECK_EVERY", every)
-    io = Alphabet("01")
-    program = build_function(flip_machine(), io)
-    functionals = _functionals(encode_theta(App(program, encode_string(io, "01"))))
+def _counting_steps(monkeypatch):
+    """Count the subterms plans step over."""
+    steps = []
+    charge = machine_r._Index.charge
+    monkeypatch.setattr(machine_r._Index, "charge", lambda index, entry, d: steps.append(
+        charge(index, entry, d)) or steps[-1])
+    return steps
+
+
+def test_a_plan_with_a_full_index_equals_one_with_an_empty_one(monkeypatch):
+    # every Functional of random runs, edited, cut or with a foreign tail,
+    # under three StackRedex: the plan built with the run's index, stepping
+    # over the subterms it knows, is the plan built without them, or has
+    # the same fault.  D = \x.\k.k x x hands two copies of a random
+    # abstraction to another one.
+    steps = _counting_steps(monkeypatch)
     rng = random.Random(21)
-    for _ in range(60):
-        functionals += _functionals(encode_theta(random_closed_term(rng, 40)), 20)
-    resumed = 0
-    for fn in functionals[::3]:
-        plans = {}
-        for stack in ("", "F", "AF"):
-            base = _plan_outcome(lambda: machine_r._make_plan(fn, stack))
-            if not isinstance(base, str):
-                plans[stack, fn] = base
-        for stack, _ in plans:
-            for new in (_splice(rng, fn), _splice(rng, fn), fn[:rng.randrange(len(fn))],
+    d = parse_term(r"\x.\k.k x x")
+    planned = 0
+    for _ in range(150):
+        value = Abs(random_closed_term(rng, 30))
+        t = App(App(d, value), random_closed_term(rng, 30))
+        functionals, state = _functionals(encode_theta(t), 30)
+        for fn in functionals:
+            for new in (fn, _splice(rng, fn), fn[:rng.randrange(1, len(fn) + 1)],
                         fn + rng.choice(("x", "▶0", "λ▶", "0"))):
-                got = _plan_outcome(lambda: machine_r._resume(plans, list(plans), (stack, new)))
-                if got is None:
-                    continue
-                resumed += 1
-                assert got == _plan_outcome(lambda: machine_r._make_plan(new, stack))
-    assert resumed > 300
+                if not new.startswith("λ"):
+                    continue  # substitute_pass plans no other Functional
+                for stack in ("", "F", "AF"):
+                    assert _plan_outcome(lambda: machine_r._make_plan(new, stack, state.index)) \
+                        == _plan_outcome(lambda: machine_r._make_plan(new, stack, machine_r._Index()))
+                    planned += 1
+    assert planned > 10_000
+    assert sum(charge is not None for charge in steps) > 1_000
 
 
-def test_the_memo_resumes_plans_that_equal_fresh_ones(monkeypatch):
-    # on compiled FLIP on 4 bits, 43 of the 193 missed plans resume from a
-    # neighbour's checkpoint; every memoized plan equals the fresh one
-    resumed = []
-    resume = machine_r._resume
-    monkeypatch.setattr(machine_r, "_resume",
-                        lambda *args: resumed.append(resume(*args)) or resumed[-1])
+def test_plans_with_the_run_index_equal_fresh_ones_on_compiled_flip(monkeypatch):
+    # every plan compiled FLIP on 4 bits builds equals the plan built with
+    # an empty index, and the plans step over more known subterms than
+    # there are plans
+    built = []
+    make_plan = machine_r._make_plan
+    monkeypatch.setattr(machine_r, "_make_plan", lambda fn, stack, index: built.append(
+        (fn, stack, make_plan(fn, stack, index))) or built[-1][2])
+    steps = _counting_steps(monkeypatch)
     io = Alphabet("01")
     program = build_function(flip_machine(), io)
-    state = MachineRState(current=encode_theta(App(program, encode_string(io, "0110"))))
-    while find_redex_pass(state) == FOUND:
-        substitute_pass(state)
-        reassemble_pass(state)
-    for (stack, fn), plan in state.plans.items():
-        assert plan == machine_r._make_plan(fn, stack)
-    assert sum(plan is not None for plan in resumed) > len(state.plans) // 5
+    result = mr_normalize(encode_theta(App(program, encode_string(io, "0110"))))
+    assert (result.op_count, len(result.iterations)) == (5_734_832, 395)
+    for fn, stack, plan in built:
+        assert plan == make_plan(fn, stack, machine_r._Index())
+    assert len(built) > 150 and sum(charge is not None for charge in steps) > len(built)
 
 
-def _checking_the_key_index(monkeypatch):
-    """Make every plan lookup check that the sorted index holds exactly the
-    memo's keys."""
-    plan = machine_r._plan
-
-    def checked(state):
-        got = plan(state)
-        assert state.plan_keys == sorted(state.plans)
-        return got
-    monkeypatch.setattr(machine_r, "_plan", checked)
+def _complete_end(tape, start):
+    try:
+        return machine_r._copy(tape, start)[0]
+    except MachineRError:
+        return None
 
 
-def test_the_key_index_follows_a_small_memo(monkeypatch):
-    monkeypatch.setattr(machine_r, "PLAN_MEMO_SIZE", 2)
-    _checking_the_key_index(monkeypatch)
+def _record(index, subterm):
+    index.add(subterm, machine_r._copy(subterm, 0)[1])
+
+
+def test_the_index_finds_only_the_complete_subterm_at_a_start():
+    # ▶1 and ▶10 end different subterms: a key is found only where no digit
+    # follows it, and a key with more digits is no match for a shorter one
+    index = machine_r._Index()
+    short, long = "λλλ@▶0▶1", "λλλ@▶0▶10"
+    for key in (short, long, "λ@▶0λ▶0", "λ@▶0λ▶01", "λλ▶1"):
+        _record(index, key)
+    # a subterm with no @ is read in one match and never recorded
+    assert sorted(index.entries) == sorted((short, long, "λ@▶0λ▶0", "λ@▶0λ▶01"))
+    assert index.find(short + "0", 0)[0] == long
+    assert index.find("@" + short, 1)[0] == short
+    assert index.find(long + "1", 0) is None
+    # long sorts between short and short + "▶": a miss, never a wrong key
+    assert index.find(short + "▶", 0) is None
+    assert index.find("λ@▶0λ▶01@", 0)[0] == "λ@▶0λ▶01"
+    # on random tapes, whatever the index finds is the complete subterm there
+    rng = random.Random(4)
+    for _ in range(300):
+        tape = "".join(rng.choice(("λ", "@", "▶0", "▶1", "▶10", "0", "1", short, long))
+                       for _ in range(rng.randrange(1, 12)))
+        for start in range(len(tape)):
+            entry = index.find(tape, start)
+            if entry is not None:
+                assert _complete_end(tape, start) == start + len(entry[0])
+        for start in range(len(tape)):
+            if tape[start] == "λ" and _complete_end(tape, start) is not None:
+                _record(index, tape[start:_complete_end(tape, start)])
+    assert len(index.keys) > 20
+
+
+def test_a_subterm_that_is_not_closed_is_never_stepped_over():
+    # λ@▶1▶0 on its own leaves ▶1 free; inside λ@(λ@▶1▶0)▶0 that ▶1 is the
+    # erased binder, so stepping over the subterm would lose an occurrence
+    index = machine_r._Index()
+    open_term = "λ@▶1▶0"
+    _record(index, open_term)
+    entry = index.find(open_term, 0)
+    assert [index.charge(entry, d) for d in range(4)] == [None] * 4
+    fn = "λ@" + open_term + "▶0"
+    plan = machine_r._make_plan(fn, "", index)
+    assert plan == machine_r._make_plan(fn, "", machine_r._Index())
+    assert plan.occurrences == 2
+    run_in_lockstep("@" + fn + "λ▶0", 5, 100)
+
+
+def test_the_index_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
+    # a subterm counts its length and one per Counter value it has a charge
+    # for; the oldest go first, but the newest always stays
+    monkeypatch.setattr(machine_r, "TAPE_LIMIT", 16)
+    a, b, c, d = "λ@▶0▶0", "λλ@▶0▶1", "λλ@▶1▶1", "λ@λ@▶0▶0▶0"
+    e = "λλλ@@@@▶0▶1▶10▶0▶1"
+    index = machine_r._Index()
+    held = []
+    for step, subterm in (("add", a), ("add", b), ("find", a), ("charge", a),
+                          ("add", c), ("add", d), ("add", e)):
+        if step == "add":
+            _record(index, subterm)
+        elif step == "find":
+            assert index.find(subterm, 0)[0] == subterm
+        else:
+            assert index.charge(index.find(subterm, 0), 3) is not None
+        held.append((list(index.entries), index.symbols))
+    assert held == [
+        ([a], 6),
+        ([a, b], 13),
+        ([a, b], 13),
+        ([a, b], 14),
+        ([b, c], 14),
+        ([d], 10),
+        ([e], 18),
+    ]
+    assert index.keys == [e]
+
+
+def test_more_subterms_than_the_index_holds(monkeypatch):
+    # compiled FLIP on one bit under a budget just above its longest
+    # Current: the index drops most of the Arguments it records, and the
+    # run keeps every count
     io = Alphabet("01")
-    theta = encode_theta(App(build_function(flip_machine(), io), encode_string(io, "10")))
-    assert mr_normalize(theta).normalized
+    theta = encode_theta(App(build_function(flip_machine(), io), encode_string(io, "1")))
+    free = mr_normalize(theta)
+    limit = max(it.tl_after for it in free.iterations)
+    assert _functionals(theta, 10_000)[1].index.symbols > 3 * limit
+    monkeypatch.setattr(machine_r, "TAPE_LIMIT", limit)
+    state = MachineRState(current=theta)
+    run_in_lockstep(theta, 10_000, 10_000, state)
+    entries = state.index.entries.values()
+    assert state.index.symbols == sum(len(key) + len(charges) for key, _, _, charges in entries)
+    assert state.index.symbols <= machine_r.TAPE_LIMIT
+    assert sorted(state.index.keys) == state.index.keys == sorted(key for key, *_ in entries)
+    assert mr_normalize(theta) == free
 
 
-def test_the_key_index_follows_the_tape_limit(monkeypatch):
-    monkeypatch.setattr(machine_r, "TAPE_LIMIT", 10)
-    _checking_the_key_index(monkeypatch)
-    state = MachineRState(current="")
-    for fn in ("λ▶0", "λλ▶1", "λλ▶0", "λ▶", "λλλ▶10▶0▶1", "λλλλλλλλ▶0▶0"):
-        for stack in ("", "F"):
-            state.functional, state.stack_redex = fn, stack
-            machine_r._plan(state)
-
-
-def test_the_plan_memo_holds_its_checkpoints_in_few_bytes_per_key_symbol():
-    # the memo after compiled FLIP on 8 bits holds 256 plans of 133,745 key
-    # symbols: 4.7 bytes per key symbol without checkpoints, 5.6 with one
-    # every 16 ▶ tokens, 8.8 with one every 4 and 21 with one per token
+def test_the_index_holds_few_bytes_per_symbol():
+    # after the compiled palindrome on 2 bits the index holds about 196k
+    # symbols of Arguments in about 2.2 bytes each, entries and charges
+    # included
     io = Alphabet("01")
-    program = build_function(flip_machine(), io)
-    theta = encode_theta(App(program, encode_string(io, "01101001")))
+    program = build_function(even_palindrome_machine(), io)
+    theta = encode_theta(App(program, encode_string(io, "01")))
     tracemalloc.start()
     try:
         state = MachineRState(current=theta)
@@ -715,14 +796,13 @@ def test_the_plan_memo_holds_its_checkpoints_in_few_bytes_per_key_symbol():
             substitute_pass(state)
             reassemble_pass(state)
         held = tracemalloc.get_traced_memory()[0]
-        symbols = state.plan_symbols
-        state.plans.clear()
-        state.plan_keys.clear()
+        symbols = state.index.symbols
+        state.index = None
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert symbols > 100_000
-    assert freed < 8 * symbols
+    assert freed < 4 * symbols
 
 
 def test_compiled_flip_on_16_bits_keeps_its_counts():
@@ -734,3 +814,13 @@ def test_compiled_flip_on_16_bits_keeps_its_counts():
     assert result.normalized
     assert (result.op_count, len(result.iterations)) == (21_417_457, 1_307)
     assert decode_theta(result.theta) == encode_string(io, "1001011001101001")
+
+
+def test_compiled_palindrome_on_4_bits_keeps_its_counts():
+    # the even-palindrome machine's Functionals run to 76k symbols; before
+    # the index a run took about 5 s, most of it building plans
+    io = Alphabet("01")
+    term = App(build_function(even_palindrome_machine(), io), encode_string(io, "0110"))
+    result = mr_normalize(encode_theta(term))
+    assert (result.op_count, len(result.iterations)) == (208_566_075, 785)
+    assert bench.agrees_with_engine(result, normalize(term, "leftmost"))
