@@ -633,20 +633,24 @@ def _counting_steps(monkeypatch):
     return steps
 
 
-def test_a_plan_with_a_full_index_equals_one_with_an_empty_one(monkeypatch):
-    # every Functional of random runs, edited, cut or with a foreign tail,
-    # under three StackRedex: the plan built with the run's index, stepping
-    # over the subterms it knows, is the plan built without them, or has
-    # the same fault.  D = \x.\k.k x x hands two copies of a random
-    # abstraction to another one.
+@pytest.mark.parametrize("iterations", [1, 3, 16])
+def test_a_resumed_plan_equals_a_fresh_one(monkeypatch, iterations):
+    # a run resumed after its first `iterations` iterations plans with the
+    # subterms they copied.  Every Functional of the whole run, before that
+    # point or after, edited, cut or with a foreign tail, under three
+    # StackRedex: the plan built with that index, stepping over the
+    # subterms it knows, is the plan built without them, or has the same
+    # fault.  D = \x.\k.k x x hands two copies of a random abstraction to
+    # another one.
     steps = _counting_steps(monkeypatch)
     rng = random.Random(21)
     d = parse_term(r"\x.\k.k x x")
     planned = 0
     for _ in range(150):
         value = Abs(random_closed_term(rng, 30))
-        t = App(App(d, value), random_closed_term(rng, 30))
-        functionals, state = _functionals(encode_theta(t), 30)
+        theta = encode_theta(App(App(d, value), random_closed_term(rng, 30)))
+        functionals, _ = _functionals(theta, 30)
+        _, state = _functionals(theta, iterations)
         for fn in functionals:
             for new in (fn, _splice(rng, fn), fn[:rng.randrange(1, len(fn) + 1)],
                         fn + rng.choice(("x", "▶0", "λ▶", "0"))):
