@@ -45,10 +45,9 @@ A run has a tape budget: `mr_normalize` stops, with reason "tape_limit",
 before an iteration that would write a Current longer than `TAPE_LIMIT`
 symbols.  Every other tape is a piece of Current or of the next one, the
 find pass keeps O(1) per top-level token of Current, the plan memo holds
-at most `PLAN_MEMO_SIZE` plans of at most `TAPE_LIMIT` symbols in all,
-and the index at most `TAPE_LIMIT` symbols, one per memoized charge
-included.  So a run holds memory linear in the longer of its input and
-the budget.
+plans of at most `TAPE_LIMIT` symbols of keys in all, and the index at
+most `TAPE_LIMIT` symbols, one per memoized charge included.  So a run
+holds memory linear in the longer of its input and the budget.
 """
 
 from __future__ import annotations
@@ -73,10 +72,6 @@ NO_REDEX = "no_redex"
 # FLIP on 8 bits (3,959), 4x the 65,531-symbol normal form of D nested 13
 # deep; D nested 16 deep (a 260-character input) stops on it
 TAPE_LIMIT = 1 << 18
-
-# how many substitution plans a run keeps, oldest dropped first; together
-# they hold at most TAPE_LIMIT symbols of Functional and StackRedex
-PLAN_MEMO_SIZE = 256
 
 _DIGITS = re.compile("[01]*")
 _APP_LAM = APP + LAM
@@ -442,16 +437,15 @@ def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
 
 def _plan(state: MachineRState) -> _Plan:
     """The plan of the state's StackRedex and Functional, memoized.  The
-    memo drops its oldest plans to keep at most PLAN_MEMO_SIZE of them and
-    at most TAPE_LIMIT symbols of keys, but always keeps the newest."""
+    memo drops its oldest plans to keep at most TAPE_LIMIT symbols of keys,
+    but always keeps the newest."""
     key = (state.stack_redex, state.functional)
     plans = state.plans
     plan = plans.get(key)
     if plan is None:
         plan = _make_plan(state.functional, state.stack_redex, state.index)
         size = sum(map(len, key))
-        while plans and (len(plans) >= PLAN_MEMO_SIZE
-                         or state.plan_symbols + size > TAPE_LIMIT):
+        while plans and state.plan_symbols + size > TAPE_LIMIT:
             oldest = next(iter(plans))
             del plans[oldest]
             state.plan_symbols -= sum(map(len, oldest))

@@ -40,17 +40,10 @@ STRATEGIES = (LEFTMOST, RIGHTMOST, RANDOM)
 
 Position = tuple[str, ...]
 
-# A trace stores a position as a code: a leading 1, then one bit per frame
-# from the root down, 0 for FUN and 1 for ARG; the root's code is 1.
+# A position is kept as a code: a leading 1, then one bit per frame from
+# the root down, 0 for FUN and 1 for ARG; the root's code is 1.  A push
+# doubles the code, going to ARG adds 1 and a pop halves it.
 _SIDES = str.maketrans({"0": FUN, "1": ARG})
-
-
-def _code(path: list[str]) -> int:
-    """The code of the sides `path`, from the root down."""
-    code = 1
-    for side in path:
-        code += code + (side is ARG)
-    return code
 
 
 def _sides(code: int) -> Position:
@@ -71,11 +64,11 @@ class CostTrace:
     `sizes` holds the size of the term after each step, in an
     `array('q')` until a size passes 2⁶³ − 1 and in a list of ints from
     then on.  `positions` lists each step's position code (one bit per
-    frame, see `_code`), which the closure machine shares between steps
-    that fire at the same position.  A step's cost is not stored: `_cost`
-    derives it from consecutive sizes.  `total_cost` is their sum, kept up
-    to date by `record` (the closure machine adds it up once, when its run
-    ends), so reading it, like the step count, is O(1); `steps` builds the
+    frame), which the closure machine shares between steps that fire at
+    the same position.  A step's cost is not stored: `_cost` derives it
+    from consecutive sizes.  `total_cost` is their sum, kept up to date
+    by `record` (the closure machine adds it up once, when its run ends),
+    so reading it, like the step count, is O(1); `steps` builds the
     `TraceStep` records, with their position tuples, on each access.
     """
 
@@ -190,26 +183,27 @@ def step_at(t: Term, path: Position) -> tuple[Term, int]:
     return new, max(1, new.size - t.size)
 
 
-def _plug(parent: App, side: str, node: Term) -> App:
-    """`parent` with its `side` child replaced by `node` (shared if unchanged)."""
-    if side == FUN:
-        return parent if parent.fun is node else App(node, parent.arg)
-    return parent if parent.arg is node else App(parent.fun, node)
+def _plug(parent: App, is_arg: int, node: Term) -> App:
+    """`parent` with its child replaced by `node` (shared if unchanged): the
+    argument if `is_arg`, else the function."""
+    if is_arg:
+        return parent if parent.arg is node else App(parent.fun, node)
+    return parent if parent.fun is node else App(node, parent.arg)
 
 
 class Zipper:
     """A term opened at one subterm (Huet, "The Zipper", JFP 1997).
 
     `focus` is the subterm, `parents` the applications from the root down
-    to it and `path` the side (FUN or ARG) taken at each.  A parent may be
-    stale on the side of the path but is current on the other, so plugging
-    the focus back in rebuilds only the frames it passes.  `before` and
-    `after` count the redexes left and right of the focus (no parent is
-    itself a redex: its child on the path is an application) and `size` is
-    the size of the whole term.  A step therefore builds applications only
-    for the frames it climbs and for the substitution, never for the whole
-    spine.  Given a `trace`, each step records its position code and the
-    new size in it; encoding the path is the one cost left in the depth.
+    to it and `path` the position code of the sides taken at each.  A
+    parent may be stale on the side of the path but is current on the
+    other, so plugging the focus back in rebuilds only the frames it
+    passes.  `before` and `after` count the redexes left and right of the
+    focus (no parent is itself a redex: its child on the path is an
+    application) and `size` is the size of the whole term.  A step
+    therefore builds applications only for the frames it climbs and for
+    the substitution, never for the whole spine.  Given a `trace`, each
+    step records its position code and the new size in it.
     """
 
     __slots__ = ("focus", "parents", "path", "before", "after", "size", "trace")
@@ -218,7 +212,7 @@ class Zipper:
         self.focus = t
         self.trace = trace
         self.parents: list[App] = []
-        self.path: list[str] = []
+        self.path = 1
         self.before = 0
         self.after = 0
         self.size = t.size
@@ -229,12 +223,13 @@ class Zipper:
 
     def _up(self) -> None:
         parent = self.parents.pop()
-        side = self.path.pop()
-        if side == FUN:
-            self.after -= parent.arg.n_redexes
-        else:
+        is_arg = self.path & 1
+        self.path >>= 1
+        if is_arg:
             self.before -= parent.fun.n_redexes
-        self.focus = _plug(parent, side, self.focus)
+        else:
+            self.after -= parent.arg.n_redexes
+        self.focus = _plug(parent, is_arg, self.focus)
 
     def fire(self, k: int) -> None:
         """Fire redex #k in left-to-right order; equal to
@@ -257,28 +252,29 @@ class Zipper:
                 k -= 1
             self.parents.append(node)
             f = node.fun.n_redexes
+            self.path += self.path
             if k < f:
-                self.path.append(FUN)
                 self.after += node.arg.n_redexes
                 node = node.fun
             else:
                 k -= f
-                self.path.append(ARG)
+                self.path += 1
                 self.before += f
                 node = node.arg
         reduct = substitute_top(node.fun.body, node.arg)
         self.size += reduct.size - node.size
         if self.trace is not None:
-            self.trace.record(_code(self.path), self.size)
+            self.trace.record(self.path, self.size)
         self.focus = reduct
         if self.parents:
             self._up()
 
     def term(self) -> Term:
         """The whole term; the focus does not move."""
-        node = self.focus
-        for parent, side in zip(reversed(self.parents), reversed(self.path)):
-            node = _plug(parent, side, node)
+        node, path = self.focus, self.path
+        for parent in reversed(self.parents):
+            node = _plug(parent, path & 1, node)
+            path >>= 1
         return node
 
 
@@ -359,10 +355,10 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
     occurrences of the bound index in M, counted once per abstraction node
     and cached on it.  A closure in function position is fired or stuck,
     never bound, so it is left unsized.  The frames' sides are kept as one
-    position code (see `_code`): a push doubles it, FUN → ARG adds 1 and a
-    pop halves it, and a step records it as its position.  Out of fuel, the
-    machine evaluates on to the next step without taking it and plugs the
-    redex into its frames: the term the Zipper would hold.
+    position code, as on the Zipper, and a step records it as its
+    position.  Out of fuel, the machine evaluates on to the next step
+    without taking it and plugs the redex into its frames: the term the
+    Zipper would hold.
     """
     # equal positions share one code: a run revisits few of them
     interned: dict[int, int] = {}

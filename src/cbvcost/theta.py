@@ -14,12 +14,14 @@ accepted on input.
 
 from __future__ import annotations
 
+import re
+
 from .terms import Abs, App, BoundVar, FreeVar, Term, TermError
 
 LAM = "λ"
 APP = "@"
 MARK = "▶"
-THETA_ALPHABET = frozenset((LAM, APP, MARK, "0", "1"))
+_FOREIGN = re.compile(f"[^{LAM}{APP}{MARK}01]")
 
 DEFAULT_FREE_NAME = "v"
 
@@ -40,9 +42,10 @@ def theta_to_ascii(s: str) -> str:
 def canonical_theta(s: str) -> str:
     """Normalize ASCII input to the unicode form and validate the charset."""
     s = s.translate(_FROM_ASCII)
-    for i, ch in enumerate(s):
-        if ch not in THETA_ALPHABET:
-            raise MalformedThetaError(f"symbol {ch!r} is not in the alphabet", i)
+    foreign = _FOREIGN.search(s)
+    if foreign:
+        raise MalformedThetaError(f"symbol {foreign[0]!r} is not in the alphabet",
+                                  foreign.start())
     return s
 
 

@@ -477,15 +477,20 @@ def test_one_functional_with_two_arguments(monkeypatch):
 
 
 def test_more_functionals_than_the_plan_memo_holds(monkeypatch):
-    monkeypatch.setattr(machine_r, "PLAN_MEMO_SIZE", 2)
+    # compiled FLIP on one bit under a budget just above its longest
+    # Current: the memo drops most of its plans and builds some again, and
+    # the run keeps every count
     io = Alphabet("01")
     theta = encode_theta(App(build_function(flip_machine(), io), encode_string(io, "1")))
+    free = mr_normalize(theta)
+    limit = max(it.tl_after for it in free.iterations)
+    assert _functionals(theta, 10_000)[1].plan_symbols > 3 * limit
+    monkeypatch.setattr(machine_r, "TAPE_LIMIT", limit)
     state = MachineRState(current=theta)
     run_in_lockstep(theta, 10_000, 10_000, state)
-    assert len(state.plans) == 2
-    bounded = mr_normalize(theta)
-    monkeypatch.setattr(machine_r, "PLAN_MEMO_SIZE", 10_000)
-    assert mr_normalize(theta) == bounded
+    assert state.plan_symbols == sum(len(fn) + len(stack) for stack, fn in state.plans)
+    assert state.plan_symbols <= machine_r.TAPE_LIMIT
+    assert mr_normalize(theta) == free
 
 
 def test_the_plan_memo_holds_at_most_the_tape_limit_in_symbols(monkeypatch):

@@ -16,7 +16,7 @@ from cbvcost import (
     size, step_at, time_of, write_trace_csv,
 )
 from cbvcost import reduction
-from cbvcost.reduction import ARG, FUN, CostTrace, TraceStep, Zipper, _code, _sides
+from cbvcost.reduction import CostTrace, TraceStep, Zipper
 
 from conftest import terms, within_a_second
 from reference import enumerate_closed_terms, find_redexes, subterm_at, zipper_leftmost
@@ -395,19 +395,27 @@ def test_trace_csv_bytes_of_growth_terms(pair, strategy, digest):
     assert _csv_sha256(normalize(t, strategy, seed=123)) == digest
 
 
-@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "random"])
 def test_trace_csv_bytes_of_a_deep_chain(strategy):
-    # positions up to 1199 frames deep, past a 63-bit code: the machine's
-    # codes and the Zipper's encoded paths take the same big ints
+    # positions up to 1199 frames deep, past a 63-bit code: the machine and
+    # the Zipper keep the same big ints; the chain holds one redex at a
+    # time, so every strategy fires the same steps
     outcome = normalize(k_chain(1200), strategy)
     assert _csv_sha256(outcome) == (
         "214d60705f914042eb1c2045fd0651d97f5e3d47a72794d17dc72e7cc8f76441")
 
 
-@given(st.lists(st.sampled_from((FUN, ARG)), max_size=200))
-def test_a_position_code_decodes_to_its_sides(path):
-    assert _sides(_code(path)) == tuple(path)
-    assert _code([]) == 1
+def test_zipper_codes_of_a_5000_deep_chain_match_the_machine():
+    # codes up to 4999 bits, kept as the Zipper moves rather than encoded
+    # per step, so the traced run stays linear in the depth
+    t = k_chain(5000)
+    machine = normalize(t, "leftmost")
+    assert machine.normalized and machine.steps == 5000
+    for strategy in ("rightmost", "random"):
+        with within_a_second():
+            outcome = normalize(t, strategy)
+        assert outcome.trace == machine.trace
+        assert outcome.term == machine.term
 
 
 # --- the trace: columns, running weight, int64 fallback ----------------------

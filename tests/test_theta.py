@@ -70,8 +70,10 @@ def test_ascii_round_trip():
 
 
 def test_ascii_rejects_foreign_symbols():
-    with pytest.raises(MalformedThetaError):
+    with pytest.raises(MalformedThetaError,
+                       match=r"^symbol 'x' is not in the alphabet \(position 1\)$") as e:
         canonical_theta("Lx0")
+    assert e.value.position == 1
 
 
 @settings(max_examples=300)
