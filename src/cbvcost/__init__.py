@@ -12,8 +12,7 @@ given explicit seeds.
 from .terms import (
     Abs, App, BoundVar, FreeVar, Term,
     TermError, ParseError, InvalidPositionError,
-    ap, free_names, fv, is_closed, is_value, lam, parse_term, print_term,
-    size, substitute_top,
+    ap, free_names, fv, is_closed, lam, parse_term, print_term, substitute_top,
 )
 from .theta import (
     MalformedThetaError, decode_theta, encode_theta, theta_to_ascii,

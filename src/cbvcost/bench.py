@@ -132,9 +132,8 @@ def suite_tm_overhead(seed: int = 42) -> SuiteReport:
             inputs.append("".join(rng.choice("01") for _ in range(k)))
         for u in inputs:
             run = run_compiled(machine, u, 2_000_000)
-            ratio = run.lambda_cost / (run.tm_steps + len(u) + 1)
-            ratios.append(ratio)
-            rows.append([name, u, run.tm_steps, run.lambda_cost, f"{ratio:.4f}"])
+            ratios.append(run.cost_per_step)
+            rows.append([name, u, run.tm_steps, run.lambda_cost, f"{run.cost_per_step:.4f}"])
         if max(ratios) > 2 * min(ratios):
             failures.append(f"{name}: per-step overhead varies more than 2x "
                             f"({min(ratios):.2f}..{max(ratios):.2f})")

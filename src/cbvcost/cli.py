@@ -98,7 +98,7 @@ def cmd_compile_tm(args) -> int:
     print(f"output: {run.output}")
     print(f"lambda cost: {run.lambda_cost}")
     print(f"machine steps: {run.tm_steps}")
-    print(f"cost per step: {run.lambda_cost / (run.tm_steps + len(args.input) + 1):.4f}")
+    print(f"cost per step: {run.cost_per_step:.4f}")
     return OK
 
 

@@ -11,13 +11,16 @@ they agree on the normal form, the step count and the total weight; the
 engine exposes leftmost, rightmost and a seeded random strategy to make
 that claim falsifiable.
 
-Leftmost reduction of a well-scoped term runs on a closure machine, which
-never builds a reduct.  Weak call-by-value redexes never nest, so evaluating
-the function, then the argument, then firing meets the redexes in leftmost
-order, and a step's cost is arithmetic on the sizes the machine keeps.  The
-`Zipper` substitutes; it can fire any redex, so it runs the rightmost and
-random strategies and the divergence probe, which compares whole terms, and
-the tests check the machine against it step by step.
+`normalize` rejects a term with a dangling de Bruijn index, as `print_term`
+does: substitution inserts a value under binders without shifting it, so
+they would capture such an index.  Leftmost reduction runs on a closure
+machine, which never builds a reduct.  Weak call-by-value redexes never
+nest, so evaluating the function, then the argument, then firing meets the
+redexes in leftmost order, and a step's cost is arithmetic on the sizes the
+machine keeps.  The `Zipper` substitutes; it can fire any redex, so it runs
+the rightmost and random strategies and the divergence probe, which
+compares whole terms, and the tests check the machine against it step by
+step.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .terms import Abs, App, BoundVar, InvalidPositionError, Term, instantiate, substitute_top
+from .terms import Abs, App, BoundVar, InvalidPositionError, Term, TermError, instantiate, substitute_top
 
 FUN = "F"
 ARG = "A"
@@ -286,10 +289,12 @@ class Zipper:
 # or None for an abstraction's closure in function position, whose size is
 # never read.  (None, fun, arg) is a stuck application of two machine values.
 
-def _dangling(t: Term) -> dict[int, int]:
-    """How often each dangling index of `t` occurs in it, by index."""
+def _count_uses(lam: Abs) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """From one walk of `lam`'s body, cached in `lam.uses`: how often the
+    body uses index 0, `lam`'s bound index, and each other index i, which
+    is `lam`'s dangling index i - 1."""
     counts: dict[int, int] = {}
-    stack = [(t, 0)]
+    stack = [(lam.body, 0)]
     while stack:
         node, depth = stack.pop()
         if node.max_index < depth:
@@ -302,14 +307,6 @@ def _dangling(t: Term) -> dict[int, int]:
         else:
             stack.append((node.arg, depth))
             stack.append((node.fun, depth))
-    return counts
-
-
-def _count_uses(lam: Abs) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """From one walk of `lam`'s body, cached in `lam.uses`: how often the
-    body uses index 0, `lam`'s bound index, and each other index i, which
-    is `lam`'s dangling index i - 1."""
-    counts = _dangling(lam.body)
     lam.uses = (counts.pop(0, 0), tuple(counts.items()))
     return lam.uses
 
@@ -329,7 +326,13 @@ def _read_back(roots: list[tuple]) -> list[Term]:
             stack.pop()
             continue
         code, env, _ = v
-        needed = v[1:] if code is None else [env[i] for i in _dangling(code)]
+        if code is None:
+            needed = v[1:]
+        elif type(code) is Abs:
+            needed = [env[i - 1] for i, n in (code.uses or _count_uses(code))[1]]
+        else:
+            # a pending frame's code, read back only when fuel runs out
+            needed = env[:code.max_index + 1]
         missing = [w for w in needed if id(w) not in memo]
         if missing:
             stack.extend(missing)
@@ -345,7 +348,8 @@ def _read_back(roots: list[tuple]) -> list[Term]:
 
 
 def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
-    """Leftmost reduction of a well-scoped term on a closure machine.
+    """Leftmost reduction of a well-scoped term on a closure machine;
+    `normalize` rejects any other, so every index finds its value in env.
 
     The leftmost redex is the first one reached by evaluating the
     function, then the argument, then firing; everything left of it is in
@@ -435,14 +439,15 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
     an error.  The random strategy draws every choice from `seed`, so runs
     are reproducible.  Leftmost runs on the closure machine, the others on
     a Zipper.  A term with a dangling de Bruijn index (no parsed term has
-    one) also stays on the Zipper, which leaves such an index as it is
-    where the machine would look it up.
+    one) raises TermError under every strategy.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == LEFTMOST and t.max_index < 0:
+    if t.max_index >= 0:
+        raise TermError(f"cannot normalize dangling de Bruijn index {t.max_index}")
+    if strategy == LEFTMOST:
         return _leftmost(t, fuel)
     rng = random.Random(seed) if strategy == RANDOM else None
     trace = CostTrace(t.size)
@@ -451,13 +456,7 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
         n = z.n_redexes
         if n == 0:
             return ReductionOutcome(z.term(), trace, True)
-        if strategy == LEFTMOST:
-            k = 0
-        elif strategy == RIGHTMOST:
-            k = n - 1
-        else:
-            k = rng.randrange(n)
-        z.fire(k)
+        z.fire(n - 1 if rng is None else rng.randrange(n))
     return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
 
 

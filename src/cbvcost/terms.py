@@ -36,7 +36,11 @@ class InvalidPositionError(TermError):
 class Term:
     """A lambda term.  Instances are immutable after construction, except
     for `Abs.uses`, a cache of occurrence counts filled in when first
-    needed; it depends only on the immutable body."""
+    needed; it depends only on the immutable body.
+
+    `size` is the number of symbols: a variable counts 1, and each binder
+    and each application adds 1.  `is_value` holds for variables (bound or
+    free) and abstractions."""
 
     __slots__ = ("size", "n_redexes", "max_index", "has_free", "_hash")
 
@@ -143,16 +147,6 @@ class App(Term):
         self.max_index = max(fun.max_index, arg.max_index)
         self.has_free = fun.has_free or arg.has_free
         self._hash = hash((3, fun._hash, arg._hash))
-
-
-def size(t: Term) -> int:
-    """Number of symbols: variables count 1, each binder and application adds 1."""
-    return t.size
-
-
-def is_value(t: Term) -> bool:
-    """True for variables (bound or free) and abstractions."""
-    return t.is_value
 
 
 def is_closed(t: Term) -> bool:

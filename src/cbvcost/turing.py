@@ -326,6 +326,7 @@ class CompiledRun:
     output: str
     lambda_cost: int
     tm_steps: int
+    cost_per_step: float
 
 
 def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000) -> CompiledRun:
@@ -333,9 +334,10 @@ def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000) -> CompiledRun
 
     Input and output are strings over the machine's non-blank symbols; the
     compiled program is built once per machine content and reused.
-    Returns the decoded output, the reduction weight and the oracle's step
-    count.  Raises FuelExhausted, naming the β-steps and the weight spent,
-    when reduction does not finish within `fuel` (a looping machine), and
+    Returns the decoded output, the reduction weight, the oracle's step
+    count and the weight per unit of machine time, steps + |u| + 1.
+    Raises FuelExhausted, naming the β-steps and the weight spent, when
+    reduction does not finish within `fuel` (a looping machine), and
     OracleMismatchError when the outputs differ.
     """
     io_alphabet = Alphabet(s for s in m.alphabet if s != m.blank)
@@ -352,7 +354,8 @@ def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000) -> CompiledRun
     expected = project(oracle.output, io_alphabet)
     if decoded != expected:
         raise OracleMismatchError(f"compiled output {decoded!r} != simulator output {expected!r}")
-    return CompiledRun(decoded, outcome.trace.total_cost, oracle.steps)
+    weight = outcome.trace.total_cost
+    return CompiledRun(decoded, weight, oracle.steps, weight / (oracle.steps + len(u) + 1))
 
 
 # --- sample machines ------------------------------------------------------

@@ -19,7 +19,7 @@ from cbvcost import (
     church_numeral, encode_string, encode_symbol, encode_theta,
     even_palindrome_machine, fixpoint_h, flip_machine, mr_normalize,
     normalize, pair, parse_term, project, random_closed_term, redex_path,
-    run_compiled, simulate_tm, size, step_at, time_of, true_length,
+    run_compiled, simulate_tm, step_at, time_of, true_length,
 )
 from cbvcost.bench import make_normalizing_corpus
 
@@ -211,7 +211,7 @@ def test_04_true_length_band():
             body = App(body, BoundVar(n))
         for _ in range(n + 1):
             body = Abs(body)
-        ratios.append(true_length(body) / (size(body) * math.log2(size(body))))
+        ratios.append(true_length(body) / (body.size * math.log2(body.size)))
         n *= 2
     ok = max(ratios) <= 3 * min(ratios)
     _report(4, "true-length growth band over the deep-binder family", ok,
@@ -301,8 +301,8 @@ def test_07_fixpoint_cost_affine():
         for _ in range(2):
             t, c = step_at(t, redex_path(t, 0))
             total += c
-        if total != size(n_term) + 4:
-            failures.append((size(n_term), total))
+        if total != n_term.size + 4:
+            failures.append((n_term.size, total))
     ok = not failures
     _report(7, "recursion-operator unfolding cost affine in |N| (sizes 5..50)", ok)
     assert ok, failures
@@ -384,7 +384,7 @@ def test_09_pca_exact_costs():
         if got.cost != 4 + direct.cost or got.result != direct.result:
             failures.add("eval overhead != 4")
         got = apply_in_xi(cont, v)
-        if got.cost != max(1, size(v.term) - 4) or got.result != pair(v, v):
+        if got.cost != max(1, v.term.size - 4) or got.result != pair(v, v):
             failures.add("contraction cost != max(1, |V| - 4)")
         # hand-verified golden constants for the remaining combinators
         got = apply_in_xi(assl, pair(v, pair(u, w)))

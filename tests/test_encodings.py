@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from cbvcost import (
     Abs, App, BoundVar, Alphabet, NotAStringEncoding, UnknownSymbolError,
     ap, build_append, build_convert, church_numeral, decode_string,
-    encode_string, encode_symbol, fixpoint_h, fv, is_closed, lam, normalize,
-    parse_term, size,
+    encode_string, encode_symbol, fixpoint_h, fv, is_closed, lam, normalize, parse_term,
 )
 
 from reference import find_redexes
@@ -76,7 +75,7 @@ def test_decode_singleton_alphabet():
 def test_church_numerals():
     assert church_numeral(0) == parse_term(r"\x.\y.y")
     assert church_numeral(2) == parse_term(r"\x.\y.x (x y)")
-    sizes = [size(church_numeral(n)) for n in range(6)]
+    sizes = [church_numeral(n).size for n in range(6)]
     assert {b - a for a, b in zip(sizes, sizes[1:])} == {2}
 
 
@@ -117,7 +116,7 @@ def test_fixpoint_cost_affine_in_argument_size():
     for k in range(1, 30):
         n_term = parse_term(r"\g." + "\\h." * k + "h")
         _, cost = unfold_h_once(n_term)
-        assert cost == first + max(1, size(n_term) - 4)
+        assert cost == first + max(1, n_term.size - 4)
 
 
 # --- append / convert families --------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from cbvcost import (
     Abs, BoundVar, XiValue, apply_in_xi, build_combinator, pair, parse_term,
-    size,
 )
 
 from reference import unpair
@@ -127,7 +126,7 @@ def test_cont_duplicates_with_linear_cost():
     for v in pool(8):
         r = apply_in_xi(cont, v)
         assert r.result == pair(v, v)
-        assert r.cost == max(1, size(v.term) - 4)
+        assert r.cost == max(1, v.term.size - 4)
 
 
 def test_curry_stages_and_law():

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbvcost import (
-    Abs, Alphabet, App, BoundVar, FreeVar, InvalidPositionError, ap,
+    Abs, Alphabet, App, BoundVar, FreeVar, InvalidPositionError, TermError, ap,
     build_function, church_numeral, encode_string, even_palindrome_machine,
     flip_machine, normalize, parse_term, random_closed_term, redex_path,
-    size, step_at, time_of, write_trace_csv,
+    step_at, time_of, write_trace_csv,
 )
 from cbvcost import reduction
 from cbvcost.reduction import CostTrace, TraceStep, Zipper
@@ -60,7 +60,7 @@ def test_step_at_root():
 def test_step_at_growing_redex():
     t = parse_term(r"(\x.z x x x)(\y.\w.\u.u)")
     reduct, cost = step_at(t, ())
-    assert size(reduct) == 16
+    assert reduct.size == 16
     assert cost == 3
 
 
@@ -110,7 +110,7 @@ def test_strategies_agree_on_growth_term():
 def test_time_of_values_is_their_size():
     for src in (r"\x.x", r"\x.\y.x y"):
         t = parse_term(src)
-        assert time_of(t) == size(t)
+        assert time_of(t) == t.size
 
 
 def test_time_of_identity_application():
@@ -127,18 +127,18 @@ def test_trace_replay_is_sound(rng):
     for _ in range(80):
         t = random_closed_term(rng, 10)
         o = normalize(t, "leftmost", fuel=300)
-        cur, prev_size = t, size(t)
+        cur, prev_size = t, t.size
         for step in o.trace.steps:
             cur, cost = step_at(cur, step.position)
-            assert cost == step.cost == max(1, size(cur) - prev_size)
-            prev_size = size(cur)
+            assert cost == step.cost == max(1, cur.size - prev_size)
+            prev_size = cur.size
         assert cur == o.term
 
 
 def test_zipper_steps_match_step_at_on_the_whole_term(rng):
     for _ in range(300):
         t = random_closed_term(rng, rng.choice((12, 20, 30)))
-        trace = CostTrace(size(t))
+        trace = CostTrace(t.size)
         z, cur = Zipper(t, trace), t
         for i in range(60):
             n = cur.n_redexes
@@ -149,8 +149,8 @@ def test_zipper_steps_match_step_at_on_the_whole_term(rng):
             path = redex_path(cur, k)
             cur, cost = step_at(cur, path)
             z.fire(k)
-            assert trace.steps[i] == TraceStep(path, cost, size(cur))
-            assert z.size == size(cur)
+            assert trace.steps[i] == TraceStep(path, cost, cur.size)
+            assert z.size == cur.size
             assert z.term() == cur
         with pytest.raises(InvalidPositionError):
             z.fire(z.n_redexes)
@@ -212,7 +212,7 @@ def test_enumerate_matches_counting_oracle():
         terms = enumerate_closed_terms(n)
         assert len(terms) == len(set(terms)) == count_closed_terms(n)
         assert all(t.max_index < 0 and not t.has_free for t in terms)
-        assert all(size(t) <= n for t in terms)
+        assert all(t.size <= n for t in terms)
 
 
 def test_enumerate_is_prefix_monotone():
@@ -232,7 +232,7 @@ def test_random_closed_terms_are_closed():
     for _ in range(300):
         t = random_closed_term(rng, 14)
         assert t.max_index < 0 and not t.has_free
-        assert 2 <= size(t) <= 14
+        assert 2 <= t.size <= 14
 
 
 def test_random_strategy_reproducible():
@@ -336,11 +336,45 @@ def test_leftmost_reads_back_a_deep_chain():
     assert outcome.normalized and outcome.term.size == 5000 + 1
 
 
-def test_leftmost_keeps_a_dangling_index_as_substitution_does():
-    # \y.1 has an index that no binder of its own meets; the inserted
-    # value's index is then captured by the binder it lands under
+def test_normalize_rejects_a_dangling_index():
+    # \y.1 has an index that no binder of its own meets; substituting it
+    # for x would put it under \y, which would capture it
     t = ap(parse_term(r"\x.\y.x"), Abs(BoundVar(1)), FreeVar("w"), FreeVar("q"))
-    assert _same_outcome(t, 100).term == FreeVar("w")
+    message = "^cannot normalize dangling de Bruijn index 0$"
+    for strategy in ("leftmost", "rightmost", "random"):
+        with pytest.raises(TermError, match=message):
+            normalize(t, strategy)
+    with pytest.raises(TermError, match=message):
+        time_of(t)
+
+
+def test_leftmost_never_builds_a_zipper(monkeypatch):
+    def no_zipper(*args):
+        raise AssertionError("a Zipper was built")
+
+    monkeypatch.setattr(reduction, "Zipper", no_zipper)
+    io_alphabet = Alphabet("01")
+    flip = App(build_function(flip_machine(), io_alphabet), encode_string(io_alphabet, "0110"))
+    with pytest.raises(AssertionError, match="a Zipper was built"):
+        normalize(flip, "rightmost")
+    rng = random.Random(11)
+    for _ in range(300):
+        t = random_closed_term(rng, rng.choice((12, 20, 30)))
+        normalize(t, "leftmost", 1)
+        normalize(t, "leftmost", 50)
+    assert normalize(flip, "leftmost", 1_000_000).normalized
+    assert normalize(k_chain(5000), "leftmost").normalized
+
+
+def test_leftmost_reads_back_a_pending_frame_with_an_unused_value():
+    # out of fuel at (\y.y) (\z.z), the pending argument u c runs under
+    # the closure's env (v, u) and never uses v, which is read back anyway
+    t = parse_term(r"(\u.\v.(\y.y) (\z.z) (u c)) (\p.p) (\s.s s)")
+    outcome = _same_outcome(t, 2)
+    assert not outcome.normalized
+    assert outcome.term == parse_term(r"(\y.y) (\z.z) ((\p.p) c)")
+    for fuel in (1, 3, 4):
+        _same_outcome(t, fuel)
 
 
 def test_leftmost_read_back_shares_what_it_does_not_replace():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cbvcost import (
     Abs, App, BoundVar, FreeVar, ParseError, TermError,
-    ap, free_names, fv, is_closed, is_value, lam, normalize, parse_term,
-    print_term, size, substitute_top,
+    ap, free_names, fv, is_closed, lam, normalize, parse_term, print_term,
+    substitute_top,
 )
 from cbvcost.terms import instantiate
 
@@ -90,16 +90,16 @@ def test_print_parse_round_trip(t):
 
 
 def test_size_convention():
-    assert size(I) == 2
-    assert size(parse_term(r"(\x.x)(\y.y)")) == 5
-    assert size(parse_term(r"(\x.z x x x)(\y.\w.\u.u)")) == 13
+    assert I.size == 2
+    assert parse_term(r"(\x.x)(\y.y)").size == 5
+    assert parse_term(r"(\x.z x x x)(\y.\w.\u.u)").size == 13
 
 
 def test_is_value():
-    assert is_value(I)
-    assert not is_value(parse_term(r"(\x.x)(\y.y)"))
-    assert is_value(FreeVar("c"))
-    assert is_value(BoundVar(3))
+    assert I.is_value
+    assert not parse_term(r"(\x.x)(\y.y)").is_value
+    assert FreeVar("c").is_value
+    assert BoundVar(3).is_value
 
 
 def test_substitute_identity_argument():

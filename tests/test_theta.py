@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from cbvcost import (
     Abs, App, BoundVar, FreeVar, MalformedThetaError,
-    canonical_theta, decode_theta, encode_theta, parse_term, size,
+    canonical_theta, decode_theta, encode_theta, parse_term,
     theta_to_ascii, true_length,
 )
 
@@ -110,13 +110,13 @@ def test_true_length_family_grows_n_log_n():
         t = deep_binder_family(n)
         expected = (n + 1) + n + (n + 1) * (1 + n.bit_length())
         assert true_length(t) == expected
-        ratios.append(true_length(t) / (size(t) * math.log2(size(t))))
+        ratios.append(true_length(t) / (t.size * math.log2(t.size)))
     assert max(ratios) <= 3 * min(ratios)
 
 
 @settings(max_examples=200)
 @given(single_free_terms())
 def test_true_length_dominates_size(t):
-    assert true_length(t) >= size(t)
+    assert true_length(t) >= t.size
     c = 3.0
-    assert true_length(t) <= c * size(t) * (1 + math.log2(size(t)))
+    assert true_length(t) <= c * t.size * (1 + math.log2(t.size))
