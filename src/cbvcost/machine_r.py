@@ -27,14 +27,16 @@ last iteration changed Current.  The substitute pass replays a plan
 memoized per Functional string.  Each count equals the symbol-by-symbol
 one; `tests/reference.py` keeps both the symbol-by-symbol machine and the
 closed-form passes on list tapes that this module replaced, and the tests
-run all three in lockstep.
+run all three in lockstep.  One regex reads a ▶ and its digits for the
+find pass, and each run of λ and @ with the ▶ after it for a plan.
 
 A run keeps one index of the Arguments with an @ it has copied, the
 values substitution copies into Reducts.  The find pass takes a known
 subterm's end and charge from it.  A plan steps over a known closed
-subterm in one move: it holds no occurrence, so it adds only its charge,
-memoized per (subterm, Counter value), and then closes the frames the
-subterm completes.
+subterm at the start of a run or after an @ in one move: it holds no
+occurrence, so it adds only its charge, memoized in the subterm's entry
+next to its copy charge, per Counter value, and then closes the frames
+the subterm completes.
 
 The structure stacks are persistent linked lists of runs of frames, so a
 push takes O(1), a pop O(1) amortized, and a checkpoint shares the stack
@@ -73,7 +75,8 @@ NO_REDEX = "no_redex"
 # deep; D nested 16 deep (a 260-character input) stops on it
 TAPE_LIMIT = 1 << 18
 
-_DIGITS = re.compile("[01]*")
+# a run of λ and @, then a ▶ and its digits unless the run ends the tape
+_RUN = re.compile("([λ@]*)(?:▶([01]*))?")
 _APP_LAM = APP + LAM
 # whole tokens: where a run of them stops, a symbol-by-symbol copy faults
 _TOKENS = re.compile("(?:[λ@]|▶[01]*)*")
@@ -124,10 +127,10 @@ class _Plan(NamedTuple):
 class _Index:
     """The Arguments with an @ that a run has copied, sorted in `keys`.
     `entries` gives each, oldest first, the subterm, the charge of copying
-    it, its ▶ count and, by Counter value, the charge of stepping over it
-    in a plan.  Like the plan memo, it drops its oldest subterms to hold
-    at most TAPE_LIMIT symbols, one per charge of a step included, but
-    always keeps the newest."""
+    it and, by Counter value, the charge of stepping over it in a plan.
+    Like the plan memo, it drops its oldest subterms to hold at most
+    TAPE_LIMIT symbols, one per charge of a step included, but always
+    keeps the newest."""
 
     __slots__ = ("keys", "entries", "symbols", "longest")
 
@@ -153,7 +156,7 @@ class _Index:
         """Record the subterm `key` and its copy charge, unless it has no @."""
         if APP in key and key not in self.entries:
             self._make_room(len(key))
-            self.entries[key] = (key, charge, key.count(MARK), {})
+            self.entries[key] = (key, charge, {})
             insort(self.keys, key)
             self.longest = max(self.longest, len(key))
 
@@ -161,7 +164,7 @@ class _Index:
         """The charge of substituting through the subterm of `entry` with
         the Counter at `d`: its frames popped at its end, none below.  None
         if the subterm is not closed."""
-        charges = entry[3]
+        charges = entry[2]
         if d not in charges:
             charges[d] = None  # counted now, and dropped with the entry
             self._make_room(1)
@@ -174,7 +177,7 @@ class _Index:
         while more than TAPE_LIMIT would be held."""
         entries = self.entries
         while entries and self.symbols + size > TAPE_LIMIT:
-            key, _, _, charges = entries.pop(next(iter(entries)))
+            key, _, charges = entries.pop(next(iter(entries)))
             self.symbols -= len(key) + len(charges)
             del self.keys[bisect_left(self.keys, key)]
         self.symbols += size
@@ -328,7 +331,7 @@ def find_redex_pass(state: MachineRState) -> str:
             ops += 3  # read, write, push
             pos += 1
         elif sym == MARK:
-            end = _DIGITS.match(cur, pos + 1).end()
+            end = _RUN.match(cur, pos).end()
             stack, closing, _ = _close(stack)
             ops += 2 * (end - pos) + closing
             pos = end
@@ -356,29 +359,33 @@ def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
     """Substitute from `fn[at]` on with the Counter at `d`.  Returns the
     operations, occurrences, Counter, stack and the start of the literal
     text after the last occurrence; `segments` gets the text before each.
-    A known closed subterm at the first λ after a ▶'s digits or after an @
-    is stepped over.  With `segments` None, the walk charges the subterm
-    `fn` on an empty stack, or returns None if `fn` is not closed.
+    With `segments` None, the walk charges the subterm `fn` on an empty
+    stack, or returns None if `fn` is not closed.
 
-    Between two marks lies a run of λ and @, each read, written and
-    pushed.  Counting the Counter up from 0 to d visits 2d - popcount(d)
-    digits (`flips` below), so the increments of a run and the decrements
-    of a close cost the difference of two such counts; a decrement also
-    drops the leading zero at each power of two from 2 up."""
+    Each round matches `_RUN` at `pos`: a run of λ and @, each read,
+    written and pushed, and the ▶ after it with its digits, absent only
+    where the run ends the tape.  Any other symbol where the match stops
+    is foreign.  A known closed subterm at the start of a run or after an
+    @ is stepped over: the run is cut before it, its charge added and the
+    walk goes on after it.  At the start of the first run that subterm is
+    a plan's whole body, or in a charge walk `fn` itself, which
+    `_Index.charge` declines while counting it.  Counting the Counter up
+    from 0 to d visits 2d - popcount(d) digits (`flips` below), so the
+    increments of a run and the decrements of a close cost the difference
+    of two such counts; a decrement also drops the leading zero at each
+    power of two from 2 up."""
     base = d
     flips = 2 * d - d.bit_count()
     ops = occurrences = 0
-    literal = start = at
-    pieces = fn.split(MARK)
-    last = len(pieces) - 1
-    i = 0
-    run = pieces[0][at:]  # fn[start:] up to the next ▶
+    literal = pos = at
     while True:
+        m = _RUN.match(fn, pos)
+        run, digits = m.groups()
         known = None
         if APP in run:  # only a subterm with an @ is known
-            k = 0 if i and run[0] == LAM else run.find(_APP_LAM) + 1 or -1
+            k = 0 if run[0] == LAM else run.find(_APP_LAM) + 1 or -1
             while k >= 0 and run.find(APP, k) >= 0:
-                known = index.find(fn, start + k)
+                known = index.find(fn, pos + k)
                 if known is not None:
                     charge = index.charge(known, d + run.count(LAM, 0, k))
                     if charge is not None:
@@ -386,42 +393,34 @@ def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
                         break
                     known = None
                 k = run.find(_APP_LAM, k) + 1 or -1
-        lams = run.count(LAM)
-        if lams + run.count(APP) != len(run):
-            bad = next(sym for sym in run if sym not in (LAM, APP))
-            raise MachineRError(f"unexpected symbol {bad!r} on Functional")
         if run:
             stack = (run.translate(_FRAMES), len(run), 0, stack)
             ops += 3 * len(run)  # read, write, push
-        if lams:
-            d += lams
-            up = 2 * d - d.bit_count()
-            ops += up - flips
-            flips = up
+            lams = run.count(LAM)
+            if lams:
+                d += lams
+                up = 2 * d - d.bit_count()
+                ops += up - flips
+                flips = up
         if known is not None:
             ops += charge
-            start += k + len(known[0])
-            i += known[2]
-            run = pieces[i].lstrip("01")  # after the digits that end the subterm
-        elif i == last:
+            pos += k + len(known[0])
+        elif digits is None:
+            if m.end() < len(fn):
+                raise MachineRError(f"unexpected symbol {fn[m.end()]!r} on Functional")
             return ops, occurrences, d, stack, literal
         else:
-            mark = start + len(run)
-            i += 1
-            piece = pieces[i]
-            run = piece.lstrip("01")
-            digits = len(piece) - len(run)
-            start = mark + 1 + digits
             width = d.bit_length() or 1
-            ops += 2 + digits + min(width, digits)  # reads; compare
-            if segments is not None and digits == width and piece[:digits] == format(d, "b"):
-                segments.append(fn[literal:mark])
-                literal = start
+            ops += 2 + len(digits) + min(width, len(digits))  # reads; compare
+            if segments is not None and digits == format(d, "b"):
+                segments.append(fn[literal:pos + len(run)])
+                literal = m.end()
                 occurrences += 1
-            elif segments is None and digits and int(piece[:digits], 2) >= d - base:
+            elif segments is None and digits and int(digits, 2) >= d - base:
                 return None  # an index bound outside fn
             else:
-                ops += 1 + digits  # write
+                ops += 1 + len(digits)  # write
+            pos = m.end()
         # closing abstraction bodies lowers the depth counter
         stack, closing, closed = _close(stack)
         if closed > d:

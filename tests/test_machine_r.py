@@ -743,6 +743,24 @@ def test_a_subterm_that_is_not_closed_is_never_stepped_over():
     run_in_lockstep("@" + fn + "λ▶0", 5, 100)
 
 
+def test_a_known_subterm_is_stepped_over_at_the_start_of_the_first_run(monkeypatch):
+    # the body of λλ@▶0▶0 is the known closed λ@▶0▶0: the plan steps over
+    # it once.  Charging it walks the subterm, which finds itself at its
+    # start and declines (the first charge, None); that charge is its walk
+    # with an empty index
+    steps = _counting_steps(monkeypatch)
+    index = machine_r._Index()
+    key = "λ@▶0▶0"
+    _record(index, key)
+    fn = "λ" + key
+    plan = machine_r._make_plan(fn, "", index)
+    assert [charge is not None for charge in steps] == [False, True]
+    assert plan == machine_r._make_plan(fn, "", machine_r._Index())
+    entry = index.find(key, 0)
+    for d in range(5):
+        assert index.charge(entry, d) == machine_r._walk(key, 0, d, None, machine_r._Index(), None)[0]
+
+
 def test_the_index_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
     # a subterm counts its length and one per Counter value it has a charge
     # for; the oldest go first, but the newest always stays
@@ -785,7 +803,7 @@ def test_more_subterms_than_the_index_holds(monkeypatch):
     state = MachineRState(current=theta)
     run_in_lockstep(theta, 10_000, 10_000, state)
     entries = state.index.entries.values()
-    assert state.index.symbols == sum(len(key) + len(charges) for key, _, _, charges in entries)
+    assert state.index.symbols == sum(len(key) + len(charges) for key, _, charges in entries)
     assert state.index.symbols <= machine_r.TAPE_LIMIT
     assert sorted(state.index.keys) == state.index.keys == sorted(key for key, *_ in entries)
     assert mr_normalize(theta) == free
