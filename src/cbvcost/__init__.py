@@ -19,7 +19,7 @@ from .theta import (
     canonical_theta, true_length,
 )
 from .reduction import (
-    ARG, FUN, LEFTMOST, RANDOM, RIGHTMOST, STRATEGIES,
+    ARG, DEFAULT_FUEL, FUN, LEFTMOST, RANDOM, RIGHTMOST, STRATEGIES,
     CostTrace, ReductionOutcome, TraceStep,
     is_redex, normalize, random_closed_term, redex_path, step_at, time_of,
     write_trace_csv,

@@ -16,7 +16,7 @@ from .encodings import (
 )
 from .machine_r import MachineRResult, mr_normalize
 from .pca import apply_in_xi, build_combinator, pair, XiValue
-from .reduction import LEFTMOST, ReductionOutcome, Zipper, normalize, random_closed_term
+from .reduction import LEFTMOST, ReductionOutcome, Zipper, is_redex, normalize, random_closed_term
 from .terms import Abs, App, BoundVar, FreeVar, Term
 from .theta import encode_theta
 from .turing import even_palindrome_machine, flip_machine, run_compiled
@@ -146,22 +146,67 @@ def normalizes_within(t: Term, fuel: int, size_limit: int) -> bool:
     normal form in fewer than `fuel` steps with no term larger than
     `size_limit`.
 
-    A repeated term proves divergence.  Brent's cycle detection (BIT 1980)
-    finds one while keeping a single checkpoint, the term at step 1, 2, 4,
-    ...; the whole term is rebuilt only when its size equals the
-    checkpoint's, so the probe runs in memory bounded by the largest term.
+    Two proofs of divergence stop it early; neither changes a decision,
+    since the probe answers False for every divergent term anyway.  A
+    repeated term is one: Brent's cycle detection (BIT 1980) finds one
+    while keeping a single checkpoint, the term at step 1, 2, 4, ...; the
+    whole term is rebuilt only when its size equals the checkpoint's, so
+    the probe runs in memory bounded by the largest term.
+
+    A term that pumps is the other.  `common` is the longest common
+    prefix of the position codes fired since the checkpoint; every step
+    since lay under it, so the old checkpoint is E[s] with s its subterm
+    at `common`, and s reduced to the new subterm there.  If that holds s again on its leftmost path
+    (into the function while it holds a redex, else into the argument),
+    it is C[s] with C's hole neither under a binder nor right of a redex,
+    and every term from s on holds a redex; so C[s] reduces to C[C[s]],
+    and so on without end.  `_pumps` checks this at each checkpoint.
     """
     z = Zipper(t)
     mark, mark_step = t, 1
+    common = 0
     for step in range(1, fuel + 1):
         if z.n_redexes == 0:
             return True
-        z.fire(0)
+        code = z.fire(0)
         if z.size > size_limit or (z.size == mark.size and z.term() == mark):
             return False
+        if common:
+            # align the two codes, then drop the bits after the first
+            # that differs
+            shift = common.bit_length() - code.bit_length()
+            if shift > 0:
+                common >>= shift
+            else:
+                code >>= -shift
+            common >>= (common ^ code).bit_length()
+        else:
+            common = code
         if step == mark_step:
-            mark, mark_step = z.term(), 2 * mark_step
+            new = z.term()
+            if _pumps(_subterm(mark, common), _subterm(new, common)):
+                return False
+            mark, mark_step, common = new, 2 * mark_step, 0
     return False
+
+
+def _subterm(t: Term, code: int) -> Term:
+    """The subterm of `t` at the position code `code`."""
+    for bit in bin(code)[3:]:
+        t = t.arg if bit == "1" else t.fun
+    return t
+
+
+def _pumps(s: Term, node: Term) -> bool:
+    """Whether `s` occurs on the leftmost path of `node`: into the function
+    while it holds a redex, else into the argument, down to a redex or a
+    term that is not an application."""
+    while True:
+        if node.size == s.size and node == s:
+            return True
+        if type(node) is not App or is_redex(node):
+            return False
+        node = node.fun if node.fun.n_redexes else node.arg
 
 
 def make_normalizing_corpus(seed: int, count: int, max_size: int,

@@ -22,7 +22,7 @@ import sys
 from . import bench
 from .encodings import Alphabet, church_numeral, encode_string
 from .machine_r import TAPE_LIMIT, MachineRError, mr_normalize
-from .reduction import STRATEGIES, normalize, write_trace_csv
+from .reduction import DEFAULT_FUEL, STRATEGIES, normalize, write_trace_csv
 from .terms import TermError, free_names, parse_term, print_term
 from .theta import encode_theta, theta_to_ascii
 from .turing import FuelExhausted, OracleMismatchError, TMDefinitionError, parse_tm, run_compiled, simulate_tm
@@ -149,7 +149,8 @@ def cmd_encode(args) -> int:
     if args.alphabet is not None and args.scott is None:
         args.usage_error("--alphabet is read only with --scott")
     if args.theta is not None:
-        print(theta_to_ascii(encode_theta(parse_term(args.theta))))
+        theta = encode_theta(parse_term(args.theta))
+        print(_capped(len(theta), "symbols", lambda: theta_to_ascii(theta)))
         return OK
     if args.church is not None:
         n = args.church
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="reduce a term and report steps, cost and time")
     p.add_argument("term")
     p.add_argument("--strategy", choices=STRATEGIES, default="leftmost")
-    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
     p.add_argument("--seed", type=int, default=42, metavar="N")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_normalize)
@@ -201,18 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-tm", help="run a machine natively (the oracle)")
     p.add_argument("machine", help="machine description file")
     p.add_argument("input")
-    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
     p.set_defaults(func=cmd_run_tm)
 
     p = sub.add_parser("compile-tm", help="compile a machine to a term, run and cross-check")
     p.add_argument("machine")
     p.add_argument("input")
-    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
     p.set_defaults(func=cmd_compile_tm)
 
     p = sub.add_parser("machine-r", help="normalize on the nine-tape string machine")
     p.add_argument("input", help="surface-syntax term or raw string notation (L for λ, * for ▶)")
-    p.add_argument("--fuel", type=int, default=100_000, metavar="N")
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_machine_r)
 

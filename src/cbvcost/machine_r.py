@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
+from .reduction import DEFAULT_FUEL
 from .theta import APP, LAM, MARK, canonical_theta, decode_theta
 
 # structure-stack symbols
@@ -510,7 +511,7 @@ class MachineRResult:
         return self.reason == "normal"
 
 
-def mr_normalize(theta: str, fuel_iterations: int = 100_000) -> MachineRResult:
+def mr_normalize(theta: str, fuel_iterations: int = DEFAULT_FUEL) -> MachineRResult:
     """Iterate steps 1-4 until no redex remains, the iteration fuel is
     spent, or an iteration would write a Current longer than TAPE_LIMIT
     symbols; a normal form left by the last iteration counts.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .encodings import tuple_of
-from .reduction import LEFTMOST, normalize
+from .reduction import DEFAULT_FUEL, LEFTMOST, normalize
 from .terms import App, Term, is_closed, parse_term
 
 
@@ -66,7 +66,7 @@ def pair(v: XiValue, u: XiValue) -> XiValue:
     return XiValue(tuple_of(v.term, u.term))
 
 
-def apply_in_xi(u: XiValue, v: XiValue, fuel: int = 100_000) -> Optional[AppResult]:
+def apply_in_xi(u: XiValue, v: XiValue, fuel: int = DEFAULT_FUEL) -> Optional[AppResult]:
     """Partial application in the structure: None when undefined within fuel."""
     outcome = normalize(App(u.term, v.term), LEFTMOST, fuel)
     if not outcome.normalized:

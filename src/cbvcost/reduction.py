@@ -41,6 +41,9 @@ RIGHTMOST = "rightmost"
 RANDOM = "random"
 STRATEGIES = (LEFTMOST, RIGHTMOST, RANDOM)
 
+# the steps (machine-r: iterations) a run may take when its caller names no fuel
+DEFAULT_FUEL = 100_000
+
 Position = tuple[str, ...]
 
 # A position is kept as a code: a leading 1, then one bit per frame from
@@ -234,9 +237,11 @@ class Zipper:
             self.after -= parent.arg.n_redexes
         self.focus = _plug(parent, is_arg, self.focus)
 
-    def fire(self, k: int) -> None:
+    def fire(self, k: int) -> int:
         """Fire redex #k in left-to-right order; equal to
         step_at(self.term(), redex_path(self.term(), k)) on the whole term.
+        Returns the position code of the fired redex, the one a trace
+        records.
 
         Climbs only until the focus holds redex #k, then descends as
         `redex_path` does.  Afterwards the focus is the reduct's parent,
@@ -266,11 +271,13 @@ class Zipper:
                 node = node.arg
         reduct = substitute_top(node.fun.body, node.arg)
         self.size += reduct.size - node.size
+        position = self.path
         if self.trace is not None:
-            self.trace.record(self.path, self.size)
+            self.trace.record(position, self.size)
         self.focus = reduct
         if self.parents:
             self._up()
+        return position
 
     def term(self) -> Term:
         """The whole term; the focus does not move."""
@@ -430,7 +437,7 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
             return ReductionOutcome(_read_back([value])[0], trace, True)
 
 
-def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
+def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = DEFAULT_FUEL,
               seed: int = 42) -> ReductionOutcome:
     """Reduce until no redex remains or `fuel` steps are spent; a normal
     form reached by the last step counts.
@@ -460,7 +467,7 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = 100_000,
     return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
 
 
-def time_of(t: Term, fuel: int = 100_000) -> Optional[int]:
+def time_of(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[int]:
     """Weight-plus-size of the (unique) normalization; None within fuel."""
     return normalize(t, LEFTMOST, fuel).time()
 

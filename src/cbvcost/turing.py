@@ -27,7 +27,7 @@ from .encodings import (
     fixpoint_h,
     tuple_of,
 )
-from .reduction import LEFTMOST, normalize
+from .reduction import DEFAULT_FUEL, LEFTMOST, normalize
 from .terms import App, Term, ap, fv, lam
 
 MOVES = ("L", "R", "S")
@@ -179,7 +179,7 @@ class TMRun:
     config: TMConfig
 
 
-def simulate_tm(m: TuringMachine, u: str, fuel: int = 100_000) -> TMRun:
+def simulate_tm(m: TuringMachine, u: str, fuel: int = DEFAULT_FUEL) -> TMRun:
     """Run to the final state; the output string is left + head + right."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")

@@ -114,6 +114,23 @@ def zipper_leftmost(t: Term, fuel: int) -> ReductionOutcome:
     return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
 
 
+def brent_normalizes_within(t: Term, fuel: int, size_limit: int) -> bool:
+    """The divergence probe with Brent's cycle detection as its only proof
+    of divergence: leftmost steps on a Zipper, the whole term compared with
+    the checkpoint at step 1, 2, 4, ... whenever their sizes agree."""
+    z = Zipper(t)
+    mark, mark_step = t, 1
+    for step in range(1, fuel + 1):
+        if z.n_redexes == 0:
+            return True
+        z.fire(0)
+        if z.size > size_limit or (z.size == mark.size and z.term() == mark):
+            return False
+        if step == mark_step:
+            mark, mark_step = z.term(), 2 * mark_step
+    return False
+
+
 def enumerate_closed_terms(max_size: int) -> list[Term]:
     """Every closed term of size <= max_size, smallest first, no duplicates.
 

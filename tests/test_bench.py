@@ -1,14 +1,29 @@
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbvcost import bench, parse_term, reduction, terms
+from reference import brent_normalizes_within
+
+from cbvcost import App, FreeVar, bench, church_numeral, parse_term, random_closed_term, reduction, terms
 from cbvcost.theta import encode_theta
 
 # sha256 of the theta strings, one per line, of the seed-42 base corpus
 # followed by the seed-43 doubled corpus that MachineRBounds builds;
 # recorded before the probe used cycle detection
 CORPUS_SHA256 = "2c37c76830128a136c112d7d7670a7bd0acbf174f9fc1f2bc47c5fd07a7d88ad"
+
+# the MachineRBounds seeds that perfbench/workloads.py rotates through, and
+# the same digest over the corpora of all of them; recorded before the probe
+# proved pumping
+SUITE_SEEDS = (
+    2, 11, 17, 21, 30, 41, 45, 58, 64, 84, 85, 89, 96, 109, 110, 112, 113,
+    116, 120, 125, 127, 129, 130, 139, 145, 146, 148, 151, 152, 153, 155,
+    157, 158,
+)
+SUITE_SEEDS_SHA256 = "f2462042649d16017d0fb35003dee381c3de5209098668cf37b632a8c23a431c"
 
 
 @pytest.fixture
@@ -35,9 +50,15 @@ def test_probe_stops_at_a_cycle(text, fired):
     assert fired[0] <= 4
 
 
+# normalizes, so no proof of divergence can stop the probe: church(1100) G c
+# with G = \y.(\z.z) y takes 2 + 2 * 1100 leftmost steps, each at the bottom
+# of a spine that starts 1,100 frames deep
+DEEP_SLOW_TERM = App(App(church_numeral(1100), parse_term(r"\y.(\z.z) y")), FreeVar("c"))
+
+
 def test_probe_builds_few_applications_per_step(fired, monkeypatch):
-    # the spine grows by two frames per step, and no term repeats; a step
-    # that rebuilt the spine would build about 2,000 applications on average
+    # a step that rebuilt the spine would build about 600 applications on
+    # average
     built = [0]
     init = terms.App.__init__
 
@@ -46,26 +67,52 @@ def test_probe_builds_few_applications_per_step(fired, monkeypatch):
         init(self, fun, arg)
 
     monkeypatch.setattr(terms.App, "__init__", counting_init)
-    t = parse_term(r"(\x.x) (\x.x x) (\x.x (x x) x)")
-    assert not bench.normalizes_within(t, 2000, 50_000)
+    assert not bench.normalizes_within(DEEP_SLOW_TERM, 2000, 50_000)
     assert fired[0] == 2000
     assert built[0] <= 10 * fired[0]
 
 
 def test_probe_records_no_step(monkeypatch):
     # the probe only compares terms; recording a step would copy the whole
-    # path, which grows two frames per step here, into a position tuple
+    # path, over a thousand frames here, into a position tuple
     traces = []
 
     class WatchedZipper(reduction.Zipper):
         def fire(self, k):
             traces.append(self.trace)
-            super().fire(k)
+            return super().fire(k)
 
     monkeypatch.setattr(bench, "Zipper", WatchedZipper)
-    t = parse_term(r"(\x.x) (\x.x x) (\x.x (x x) x)")
-    assert not bench.normalizes_within(t, 200, 50_000)
+    assert not bench.normalizes_within(DEEP_SLOW_TERM, 200, 50_000)
     assert len(traces) == 200 and all(trace is None for trace in traces)
+
+
+@pytest.mark.parametrize("text", [
+    r"(\x.x) (\x.x x) (\x.x (x x) x)",  # the spine grows two frames per step
+    r"(\x.x x)(\x.x (x x))",
+    r"(\x.x x x)(\x.x x x)",
+])
+def test_probe_proves_a_growing_term_diverges(text, fired):
+    # no term repeats, so only the pumping proof stops these before the fuel
+    assert not bench.normalizes_within(parse_term(text), 10_000, 50_000)
+    assert fired[0] <= 4
+
+
+@pytest.mark.parametrize("text", [
+    # the reduct holds the start term under a binder, off the leftmost path
+    r"(\x.\y.x x)(\x.\y.x x)",
+    r"(\x.\y.y (x x))(\x.\y.y (x x))",
+])
+def test_probe_accepts_a_term_that_recurs_off_the_leftmost_path(text):
+    assert bench.normalizes_within(parse_term(text), 1500, 50_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 1500), st.integers(8, 50_000))
+def test_probe_decides_like_the_cycle_only_probe(seed, fuel, size_limit):
+    t = random_closed_term(random.Random(seed), 32)
+    assert (bench.normalizes_within(t, fuel, size_limit)
+            == brent_normalizes_within(t, fuel, size_limit))
 
 
 def test_probe_accepts_a_normalizing_term():
@@ -84,11 +131,23 @@ def test_probe_rejects_a_reduct_over_the_size_limit():
     assert not bench.normalizes_within(t, 100, t.size)
 
 
+def _corpora_sha256(seeds) -> str:
+    """sha256 of the theta strings, one per line, of the base and doubled
+    corpora that MachineRBounds builds at each seed, in order."""
+    thetas = []
+    for seed in seeds:
+        base = bench.make_normalizing_corpus(seed, 120, 12)
+        doubled = bench.make_normalizing_corpus(seed + 1, 60, 24, 13)
+        thetas.extend(encode_theta(t) for t in base + doubled)
+    return hashlib.sha256("\n".join(thetas).encode()).hexdigest()
+
+
 def test_seeded_corpora_unchanged():
-    base = bench.make_normalizing_corpus(42, 120, 12)
-    doubled = bench.make_normalizing_corpus(43, 60, 24, 13)
-    blob = "\n".join(encode_theta(t) for t in base + doubled).encode()
-    assert hashlib.sha256(blob).hexdigest() == CORPUS_SHA256
+    assert _corpora_sha256([42]) == CORPUS_SHA256
+
+
+def test_suite_seed_corpora_unchanged():
+    assert _corpora_sha256(SUITE_SEEDS) == SUITE_SEEDS_SHA256
 
 
 def test_machine_r_bounds_with_no_base_iteration_has_no_failures():

@@ -14,7 +14,7 @@ from cbvcost import bench
 from cbvcost.cli import PRINT_LIMIT, main
 from cbvcost.encodings import Alphabet, church_numeral, encode_string
 from cbvcost.machine_r import TAPE_LIMIT
-from cbvcost.terms import App, print_term
+from cbvcost.terms import App, parse_term, print_term
 from cbvcost.theta import encode_theta, theta_to_ascii
 from cbvcost.turing import EVEN_PALINDROME_SPEC, FLIP_SPEC, build_function, parse_tm
 
@@ -406,6 +406,24 @@ def test_encode_church_numeral_at_the_print_limit(capsys):
     assert capsys.readouterr().out.count("x0") == n + 1  # the binder and n uses
     assert main(["encode", "--church", str(n + 1)]) == 0
     assert "nodes, not printed" in capsys.readouterr().out
+
+
+def test_encode_theta_is_capped_like_every_printed_term(capsys):
+    # n binders over their own variable are n + 2 symbols: L^n * 0
+    def binders(n):
+        return "\\x." * n + "x"
+
+    assert main(["encode", "--theta", binders(30_001)]) == 0
+    out = capsys.readouterr().out
+    assert len(out) < 1024
+    assert out == f"30003 symbols, not printed (more than {PRINT_LIMIT})\n"
+    n = PRINT_LIMIT - 2
+    assert main(["encode", "--theta", binders(n)]) == 0
+    out = capsys.readouterr().out
+    assert out == theta_to_ascii(encode_theta(parse_term(binders(n)))) + "\n"
+    assert out == "L" * n + "*0\n"
+    assert main(["encode", "--theta", binders(n + 1)]) == 0
+    assert capsys.readouterr().out == f"{PRINT_LIMIT + 1} symbols, not printed (more than {PRINT_LIMIT})\n"
 
 
 def test_machine_r_prints_the_size_of_a_huge_output(capsys):

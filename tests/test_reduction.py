@@ -148,7 +148,8 @@ def test_zipper_steps_match_step_at_on_the_whole_term(rng):
             k = rng.randrange(n)
             path = redex_path(cur, k)
             cur, cost = step_at(cur, path)
-            z.fire(k)
+            code = z.fire(k)
+            assert code == trace.positions[i]
             assert trace.steps[i] == TraceStep(path, cost, cur.size)
             assert z.size == cur.size
             assert z.term() == cur
