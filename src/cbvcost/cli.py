@@ -22,9 +22,9 @@ import sys
 from . import bench
 from .encodings import Alphabet, church_numeral, encode_string
 from .machine_r import TAPE_LIMIT, MachineRError, mr_normalize
-from .reduction import DEFAULT_FUEL, STRATEGIES, normalize, write_trace_csv
+from .reduction import DEFAULT_FUEL, LEFTMOST, STRATEGIES, normalize, write_trace_csv
 from .terms import TermError, free_names, parse_term, print_term
-from .theta import encode_theta, theta_to_ascii
+from .theta import APP, LAM, MARK, encode_theta, theta_to_ascii
 from .turing import FuelExhausted, OracleMismatchError, TMDefinitionError, parse_tm, run_compiled, simulate_tm
 
 OK, BAD_INPUT, OUT_OF_FUEL, MISMATCH = 0, 1, 2, 3
@@ -41,7 +41,8 @@ _EXIT_CODES = {
     RuntimeError: BAD_INPUT,      # a suite's corpus builder or measurement
 }
 
-_THETA_RE = re.compile(r"^[L@*01λ▶]+$")
+# a theta string, in unicode or in the ASCII spelling of `theta_to_ascii`
+_THETA_RE = re.compile(f"^[{LAM}{APP}{MARK}01L*]+$")
 
 # a printed term or string notation longer than this is shown as its size
 PRINT_LIMIT = 10_000
@@ -138,7 +139,7 @@ def cmd_machine_r(args) -> int:
         print(f"iteration log written to {args.out}")
     if cross_check is not None and result.normalized:
         # k machine iterations agree only with k engine steps, and k <= fuel
-        engine = normalize(cross_check, "leftmost", args.fuel)
+        engine = normalize(cross_check, LEFTMOST, args.fuel)
         if not bench.agrees_with_engine(result, engine):
             raise OracleMismatchError("tape machine and reduction engine disagree")
         print("engine cross-check: ok")
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="reduce a term and report steps, cost and time")
     p.add_argument("term")
-    p.add_argument("--strategy", choices=STRATEGIES, default="leftmost")
+    p.add_argument("--strategy", choices=STRATEGIES, default=LEFTMOST)
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N")
     p.add_argument("--seed", type=int, default=42, metavar="N")
     p.add_argument("--out", metavar="PATH")

@@ -20,7 +20,8 @@ redexes in leftmost order, and a step's cost is arithmetic on the sizes the
 machine keeps.  The `Zipper` substitutes; it can fire any redex, so it runs
 the rightmost and random strategies and the divergence probe, which
 compares whole terms, and the tests check the machine against it step by
-step.
+step.  Each run loop records its own steps, a position code and a size
+per step, and `_outcome` sums the weight from the sizes when the run ends.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ class CostTrace:
     `array('q')` until a size passes 2⁶³ − 1 and in a list of ints from
     then on.  `positions` lists each step's position code (one bit per
     frame), which the closure machine shares between steps that fire at
-    the same position.  A step's cost is not stored: `_cost` derives it
-    from consecutive sizes.  `total_cost` is their sum, kept up to date
-    by `record` (the closure machine adds it up once, when its run ends),
-    so reading it, like the step count, is O(1); `steps` builds the
-    `TraceStep` records, with their position tuples, on each access.
+    the same position.  The run loop that reduces fills both columns.  A
+    step's cost is not stored: `_costs` derives it from consecutive sizes.
+    `total_cost` is their sum, added up once when the run ends, so reading
+    it, like the step count, is O(1); `steps` builds the `TraceStep`
+    records, with their position tuples, on each access.
     """
 
     __slots__ = ("initial_size", "total_cost", "sizes", "positions")
@@ -85,14 +86,6 @@ class CostTrace:
         self.total_cost = 0
         self.sizes = array("q")
         self.positions: list[int] = []
-
-    def record(self, position: int, size_after: int) -> None:
-        self.total_cost += _cost(self.sizes[-1] if self.sizes else self.initial_size, size_after)
-        try:
-            self.sizes.append(size_after)
-        except OverflowError:
-            self.sizes = [*self.sizes, size_after]
-        self.positions.append(position)
 
     @property
     def steps(self) -> list[TraceStep]:
@@ -112,18 +105,13 @@ class CostTrace:
                 f"steps={len(self.positions)}, total_cost={self.total_cost})")
 
 
-def _cost(before: int, after: int) -> int:
-    """The cost of one step, max(1, size after − size before)."""
-    growth = after - before
-    return growth if growth > 1 else 1
-
-
 def _costs(size: int, sizes_after: Iterable[int]) -> Iterator[int]:
-    """The cost of each step, from the size before the first step and the
-    size after each; a stream, so a whole trace's costs are never held at
-    once."""
+    """The cost of each step, max(1, size after − size before), from the
+    size before the first step and the size after each; a stream, so a
+    whole trace's costs are never held at once."""
     for after in sizes_after:
-        yield _cost(size, after)
+        growth = after - size
+        yield growth if growth > 1 else 1
         size = after
 
 
@@ -142,6 +130,12 @@ class ReductionOutcome:
         if not self.normalized:
             return None
         return self.trace.total_cost + self.trace.initial_size
+
+
+def _outcome(term: Term, trace: CostTrace, normalized: bool) -> ReductionOutcome:
+    """Close a run: its weight is summed once, from the sizes it recorded."""
+    trace.total_cost = sum(_costs(trace.initial_size, trace.sizes))
+    return ReductionOutcome(term, trace, normalized)
 
 
 def is_redex(t: Term) -> bool:
@@ -208,15 +202,14 @@ class Zipper:
     focus (no parent is itself a redex: its child on the path is an
     application) and `size` is the size of the whole term.  A step
     therefore builds applications only for the frames it climbs and for
-    the substitution, never for the whole spine.  Given a `trace`, each
-    step records its position code and the new size in it.
+    the substitution, never for the whole spine.  It records nothing:
+    `fire` returns the position code of the step, for the caller to keep.
     """
 
-    __slots__ = ("focus", "parents", "path", "before", "after", "size", "trace")
+    __slots__ = ("focus", "parents", "path", "before", "after", "size")
 
-    def __init__(self, t: Term, trace: Optional[CostTrace] = None):
+    def __init__(self, t: Term):
         self.focus = t
-        self.trace = trace
         self.parents: list[App] = []
         self.path = 1
         self.before = 0
@@ -272,8 +265,6 @@ class Zipper:
         reduct = substitute_top(node.fun.body, node.arg)
         self.size += reduct.size - node.size
         position = self.path
-        if self.trace is not None:
-            self.trace.record(position, self.size)
         self.focus = reduct
         if self.parents:
             self._up()
@@ -318,15 +309,16 @@ def _count_uses(lam: Abs) -> tuple[int, tuple[tuple[int, int], ...]]:
     return lam.uses
 
 
-def _read_back(roots: list[tuple]) -> list[Term]:
-    """The terms that machine values, or (code, env, None), stand for.
+def _read_back(root: tuple) -> Term:
+    """The term that the machine value `root` stands for; a pending frame's
+    code is read back as (code, env, None).
 
     Each value is read back once and its term shared wherever the value is
     bound, as a substitution shares the value it inserts.  The walk keeps its
     own stack, so depth is bounded by memory, not by the recursion limit.
     """
     memo: dict[int, Term] = {}
-    stack = list(roots)
+    stack = [root]
     while stack:
         v = stack[-1]
         if id(v) in memo:
@@ -351,7 +343,7 @@ def _read_back(roots: list[tuple]) -> list[Term]:
             # an index the code never uses may name a value not read back
             values = tuple(memo.get(id(w)) for w in env[:code.max_index + 1])
             memo[id(v)] = instantiate(code, values, {})
-    return [memo[id(v)] for v in roots]
+    return memo[id(root)]
 
 
 def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
@@ -368,8 +360,9 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
     never bound, so it is left unsized.  The frames' sides are kept as one
     position code, as on the Zipper, and a step records it as its
     position.  Out of fuel, the machine evaluates on to the next step
-    without taking it and plugs the redex into its frames: the term the
-    Zipper would hold.
+    without taking it, folds the redex and its frames into stuck
+    applications and reads back that one value: the term the Zipper would
+    hold.
     """
     # equal positions share one code: a run revisits few of them
     interned: dict[int, int] = {}
@@ -413,14 +406,13 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
             lam = fun[0]
             if type(lam) is Abs and value[0] is not None:
                 if len(positions) == fuel:
-                    sides = _sides(path)
-                    pending = [f if side == ARG else (*f, None) for side, f in zip(sides, frames)]
-                    lam_term, arg, *others = _read_back([fun, value] + pending)
-                    node = App(lam_term, arg)
-                    for side, other in zip(reversed(sides), reversed(others)):
-                        node = App(node, other) if side == FUN else App(other, node)
-                    trace.total_cost = sum(_costs(t.size, sizes))
-                    return ReductionOutcome(node, trace, False)
+                    # fold the redex into its frames as stuck applications
+                    value = (None, fun, value)
+                    while path > 1:
+                        frame = frames.pop()
+                        value = (None, frame, value) if path & 1 else (None, value, (*frame, None))
+                        path >>= 1
+                    return _outcome(_read_back(value), trace, False)
                 k = (lam.uses or _count_uses(lam))[0]
                 value_size = value[2]
                 size += k * (value_size - 1) - value_size - 2
@@ -433,8 +425,7 @@ def _leftmost(t: Term, fuel: int) -> ReductionOutcome:
                 break
             value = (None, fun, value)
         else:
-            trace.total_cost = sum(_costs(t.size, sizes))
-            return ReductionOutcome(_read_back([value])[0], trace, True)
+            return _outcome(_read_back(value), trace, True)
 
 
 def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = DEFAULT_FUEL,
@@ -458,13 +449,18 @@ def normalize(t: Term, strategy: str = LEFTMOST, fuel: int = DEFAULT_FUEL,
         return _leftmost(t, fuel)
     rng = random.Random(seed) if strategy == RANDOM else None
     trace = CostTrace(t.size)
-    z = Zipper(t, trace)
+    sizes, positions = trace.sizes, trace.positions
+    z = Zipper(t)
     for _ in range(fuel):
         n = z.n_redexes
         if n == 0:
-            return ReductionOutcome(z.term(), trace, True)
-        z.fire(n - 1 if rng is None else rng.randrange(n))
-    return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
+            return _outcome(z.term(), trace, True)
+        positions.append(z.fire(n - 1 if rng is None else rng.randrange(n)))
+        try:
+            sizes.append(z.size)
+        except OverflowError:
+            sizes = trace.sizes = [*sizes, z.size]
+    return _outcome(z.term(), trace, z.n_redexes == 0)
 
 
 def time_of(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[int]:

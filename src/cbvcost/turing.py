@@ -73,6 +73,10 @@ class TuringMachine:
     final: str
     delta: dict[tuple[str, str], tuple[str, str, str]]
 
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.blank, self.states, self.initial, self.final,
+                     frozenset(self.delta.items())))
+
 
 def parse_tm(text: str) -> TuringMachine:
     """Line-oriented machine description; '#' starts a comment.
@@ -313,12 +317,9 @@ def build_function(m: TuringMachine, io_alphabet: Alphabet) -> Term:
 
 
 @lru_cache(maxsize=16)
-def _program(machine: tuple, io_symbols: tuple[str, ...]) -> Term:
-    """`build_function` of the machine whose fields are `machine`, `delta`
-    given as its sorted items, over the IO alphabet `io_symbols`: built
-    once per machine content and IO alphabet."""
-    *fields, delta = machine
-    return build_function(TuringMachine(*fields, dict(delta)), Alphabet(io_symbols))
+def _program(m: TuringMachine, io_alphabet: Alphabet) -> Term:
+    """`build_function`, built once per machine content and IO alphabet."""
+    return build_function(m, io_alphabet)
 
 
 @dataclass
@@ -341,8 +342,7 @@ def run_compiled(m: TuringMachine, u: str, fuel: int = 1_000_000) -> CompiledRun
     OracleMismatchError when the outputs differ.
     """
     io_alphabet = Alphabet(s for s in m.alphabet if s != m.blank)
-    program = _program((m.alphabet, m.blank, m.states, m.initial, m.final,
-                        tuple(sorted(m.delta.items()))), io_alphabet.symbols)
+    program = _program(m, io_alphabet)
     outcome = normalize(App(program, encode_string(io_alphabet, u)), LEFTMOST, fuel)
     if not outcome.normalized:
         raise FuelExhausted(f"compiled machine did not halt within {fuel} β-steps "

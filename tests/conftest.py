@@ -5,8 +5,14 @@ import signal
 import pytest
 from hypothesis import strategies as st
 
-from cbvcost import Abs, App, BoundVar, FreeVar
+from cbvcost import Abs, App, BoundVar, FreeVar, church_numeral, parse_term
 from cbvcost.turing import FLIP_SPEC
+
+
+# normalizes, so no proof of divergence can stop the divergence probe:
+# church(1100) G c with G = \y.(\z.z) y takes 2 + 2 * 1100 leftmost steps,
+# each at the bottom of a spine that starts 1,100 frames deep
+DEEP_SLOW_TERM = App(App(church_numeral(1100), parse_term(r"\y.(\z.z) y")), FreeVar("c"))
 
 
 @st.composite

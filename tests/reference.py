@@ -104,13 +104,18 @@ def subterm_at(t: Term, path: Position) -> Term:
 
 def zipper_leftmost(t: Term, fuel: int) -> ReductionOutcome:
     """Leftmost reduction by substitution: fire redex #0 of a Zipper until
-    no redex is left or `fuel` steps are spent."""
+    no redex is left or `fuel` steps are spent, recording each step's
+    position code and size and adding up max(1, growth) step by step."""
     trace = CostTrace(t.size)
-    z = Zipper(t, trace)
+    trace.sizes = []  # exact ints past 2⁶³ − 1
+    z = Zipper(t)
     for _ in range(fuel):
         if z.n_redexes == 0:
-            return ReductionOutcome(z.term(), trace, True)
-        z.fire(0)
+            break
+        before = z.size
+        trace.positions.append(z.fire(0))
+        trace.sizes.append(z.size)
+        trace.total_cost += max(1, z.size - before)
     return ReductionOutcome(z.term(), trace, z.n_redexes == 0)
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_SLOW_TERM
 from reference import brent_normalizes_within
 
-from cbvcost import App, FreeVar, bench, church_numeral, parse_term, random_closed_term, reduction, terms
+from cbvcost import bench, parse_term, random_closed_term, reduction, terms
 from cbvcost.theta import encode_theta
 
 # sha256 of the theta strings, one per line, of the seed-42 base corpus
@@ -50,12 +51,6 @@ def test_probe_stops_at_a_cycle(text, fired):
     assert fired[0] <= 4
 
 
-# normalizes, so no proof of divergence can stop the probe: church(1100) G c
-# with G = \y.(\z.z) y takes 2 + 2 * 1100 leftmost steps, each at the bottom
-# of a spine that starts 1,100 frames deep
-DEEP_SLOW_TERM = App(App(church_numeral(1100), parse_term(r"\y.(\z.z) y")), FreeVar("c"))
-
-
 def test_probe_builds_few_applications_per_step(fired, monkeypatch):
     # a step that rebuilt the spine would build about 600 applications on
     # average
@@ -70,21 +65,6 @@ def test_probe_builds_few_applications_per_step(fired, monkeypatch):
     assert not bench.normalizes_within(DEEP_SLOW_TERM, 2000, 50_000)
     assert fired[0] == 2000
     assert built[0] <= 10 * fired[0]
-
-
-def test_probe_records_no_step(monkeypatch):
-    # the probe only compares terms; recording a step would copy the whole
-    # path, over a thousand frames here, into a position tuple
-    traces = []
-
-    class WatchedZipper(reduction.Zipper):
-        def fire(self, k):
-            traces.append(self.trace)
-            return super().fire(k)
-
-    monkeypatch.setattr(bench, "Zipper", WatchedZipper)
-    assert not bench.normalizes_within(DEEP_SLOW_TERM, 200, 50_000)
-    assert len(traces) == 200 and all(trace is None for trace in traces)
 
 
 @pytest.mark.parametrize("text", [

@@ -16,9 +16,9 @@ from cbvcost import (
     step_at, time_of, write_trace_csv,
 )
 from cbvcost import reduction
-from cbvcost.reduction import CostTrace, TraceStep, Zipper
+from cbvcost.reduction import TraceStep, Zipper
 
-from conftest import terms, within_a_second
+from conftest import DEEP_SLOW_TERM, terms, within_a_second
 from reference import enumerate_closed_terms, find_redexes, subterm_at, zipper_leftmost
 
 OMEGA = parse_term(r"(\x.x x)(\x.x x)")
@@ -138,9 +138,8 @@ def test_trace_replay_is_sound(rng):
 def test_zipper_steps_match_step_at_on_the_whole_term(rng):
     for _ in range(300):
         t = random_closed_term(rng, rng.choice((12, 20, 30)))
-        trace = CostTrace(t.size)
-        z, cur = Zipper(t, trace), t
-        for i in range(60):
+        z, cur = Zipper(t), t
+        for _ in range(60):
             n = cur.n_redexes
             assert z.n_redexes == n
             if n == 0:
@@ -148,10 +147,9 @@ def test_zipper_steps_match_step_at_on_the_whole_term(rng):
             k = rng.randrange(n)
             path = redex_path(cur, k)
             cur, cost = step_at(cur, path)
-            code = z.fire(k)
-            assert code == trace.positions[i]
-            assert trace.steps[i] == TraceStep(path, cost, cur.size)
-            assert z.size == cur.size
+            before = z.size
+            assert reduction._sides(z.fire(k)) == path
+            assert z.size == cur.size and max(1, z.size - before) == cost
             assert z.term() == cur
         with pytest.raises(InvalidPositionError):
             z.fire(z.n_redexes)
@@ -252,7 +250,7 @@ def test_random_strategy_reproducible():
 def _same_outcome(t, fuel):
     got, want = normalize(t, "leftmost", fuel), zipper_leftmost(t, fuel)
     assert got.trace.steps == want.trace.steps
-    assert got == want
+    assert got == want and got.trace.total_cost == want.trace.total_cost
     return got
 
 
@@ -322,11 +320,25 @@ def k_chain(depth):
 
 def test_leftmost_reads_back_a_deep_chain():
     # K (K (... (K a))): values nest as deep as the chain, and so do the
-    # frames and the positions; 1200 is past Python's recursion limit
+    # frames and the positions; 1200 is past Python's recursion limit.  Out
+    # of fuel, the redex sits under up to 1,199 pending ARG frames
     k = parse_term(r"\x.\y.x")
     t = k_chain(1200)
     assert _same_outcome(t, 100_000).normalized
-    _same_outcome(t, 1)
+    for fuel in (1, 600, 1199):
+        _same_outcome(t, fuel)
+    # DEEP_SLOW_TERM's redexes lie down a spine of ARG frames, up to 600
+    # of them pending at fuel 1000
+    for fuel in (1, 1000):
+        assert not _same_outcome(DEEP_SLOW_TERM, fuel).normalized
+    # (\v.(\x.x) (\x.x) M1 ... M1100) (\w.w): the redexes lie at the
+    # bottom of a spine of FUN frames, each holding an Mi not yet evaluated
+    # under env (v), with Mi cycling through v, \y.v y and v v
+    i = parse_term(r"\x.x")
+    args = [BoundVar(0), Abs(App(BoundVar(1), BoundVar(0))), App(BoundVar(0), BoundVar(0))]
+    t = App(Abs(ap(i, i, *(args * 367)[:1100])), parse_term(r"\w.w"))
+    for fuel in (1, 2, 600, 1000):
+        assert not _same_outcome(t, fuel).normalized
     # let v1 = K a in let v2 = K v1 in ... v5000: the same 5000-deep value,
     # built by steps at the root, so that the traces stay small
     t = BoundVar(0)
@@ -527,26 +539,38 @@ def test_step_count_and_weight_build_no_trace_step(strategy, monkeypatch):
     assert sum(s.cost for s in steps) == 440
 
 
+def _every_strategy(t, fuel):
+    """The outcomes of leftmost, rightmost and random on `t`, which holds
+    one redex at a time, so each fires the same steps as the reference."""
+    want = _same_outcome(t, fuel)
+    outcomes = [want] + [normalize(t, s, fuel) for s in ("rightmost", "random")]
+    for outcome in outcomes:
+        assert outcome == want and outcome.trace.total_cost == want.trace.total_cost
+    return outcomes
+
+
 def test_a_trace_past_int64_keeps_exact_integers():
     t = d_chain(70)
-    outcome = _same_outcome(t, 1000)
-    steps = outcome.trace.steps
-    assert steps[-1].size_after == outcome.term.size == 6 * 2 ** 70 - 4
-    assert max(s.cost for s in steps) > 2 ** 63 - 1
-    assert outcome.trace.total_cost == sum(s.cost for s in steps)
-    buf = io.StringIO()
-    write_trace_csv(outcome.trace, buf)
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
-    assert [(int(c), int(s)) for _, c, s, _ in rows] == [(s.cost, s.size_after) for s in steps]
+    for outcome in _every_strategy(t, 1000):
+        assert isinstance(outcome.trace.sizes, list)
+        steps = outcome.trace.steps
+        assert steps[-1].size_after == outcome.term.size == 6 * 2 ** 70 - 4
+        assert max(s.cost for s in steps) > 2 ** 63 - 1
+        assert outcome.trace.total_cost == sum(s.cost for s in steps)
+        buf = io.StringIO()
+        write_trace_csv(outcome.trace, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+        assert [(int(c), int(s)) for _, c, s, _ in rows] == [(s.cost, s.size_after) for s in steps]
 
 
 def test_a_run_out_of_fuel_at_the_first_step_past_int64():
     t = d_chain(70)
     sizes = [s.size_after for s in zipper_leftmost(t, 1000).trace.steps]
     first = next(i for i, n in enumerate(sizes, 1) if n > 2 ** 63 - 1)
-    below = _same_outcome(t, first - 1)
-    assert isinstance(below.trace.sizes, array)
-    past = _same_outcome(t, first)
-    assert not past.normalized and past.steps == first
-    assert past.trace.steps[-1].size_after == sizes[first - 1]
-    assert past.trace.total_cost == sum(s.cost for s in past.trace.steps)
+    for below in _every_strategy(t, first - 1):
+        assert isinstance(below.trace.sizes, array)
+    for past in _every_strategy(t, first):
+        assert isinstance(past.trace.sizes, list)
+        assert not past.normalized and past.steps == first
+        assert past.trace.steps[-1].size_after == sizes[first - 1]
+        assert past.trace.total_cost == sum(s.cost for s in past.trace.steps)
