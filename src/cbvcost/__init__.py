@@ -15,7 +15,7 @@ from .terms import (
     ap, free_names, fv, is_closed, lam, parse_term, print_term, substitute_top,
 )
 from .theta import (
-    MalformedThetaError, decode_theta, encode_theta, theta_to_ascii,
+    MalformedThetaError, check_theta, decode_theta, encode_theta, theta_to_ascii,
     canonical_theta, true_length,
 )
 from .reduction import (

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import re
 import sys
 
 from . import bench
@@ -24,7 +23,7 @@ from .encodings import Alphabet, church_numeral, encode_string
 from .machine_r import TAPE_LIMIT, MachineRError, mr_normalize
 from .reduction import DEFAULT_FUEL, LEFTMOST, STRATEGIES, normalize, write_trace_csv
 from .terms import TermError, free_names, parse_term, print_term
-from .theta import APP, LAM, MARK, encode_theta, theta_to_ascii
+from .theta import MARK, MalformedThetaError, canonical_theta, encode_theta, theta_to_ascii
 from .turing import FuelExhausted, OracleMismatchError, TMDefinitionError, parse_tm, run_compiled, simulate_tm
 
 OK, BAD_INPUT, OUT_OF_FUEL, MISMATCH = 0, 1, 2, 3
@@ -40,9 +39,6 @@ _EXIT_CODES = {
     ValueError: BAD_INPUT,        # includes any fault in a machine file
     RuntimeError: BAD_INPUT,      # a suite's corpus builder or measurement
 }
-
-# a theta string, in unicode or in the ASCII spelling of `theta_to_ascii`
-_THETA_RE = re.compile(f"^[{LAM}{APP}{MARK}01L*]+$")
 
 # a printed term or string notation longer than this is shown as its size
 PRINT_LIMIT = 10_000
@@ -113,9 +109,12 @@ def _write_report(path: str, header, rows) -> None:
 def cmd_machine_r(args) -> int:
     text = args.input
     cross_check = None
-    if _THETA_RE.match(text):
-        theta = text
-    else:
+    try:
+        theta = canonical_theta(text)
+    except MalformedThetaError:  # a symbol outside the notation
+        theta = ""
+    # every complete string has a ▶; `L` and `L0` are names
+    if MARK not in theta:
         term = parse_term(text)
         if len(free_names(term)) > 1:
             print("warning: several distinct free variables; the encoding "

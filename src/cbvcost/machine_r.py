@@ -61,7 +61,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .reduction import DEFAULT_FUEL
-from .theta import APP, LAM, MARK, canonical_theta, decode_theta
+# nothing here calls decode_theta; perfbench/tracer.py wraps it here by name
+from .theta import APP, LAM, MARK, check_theta, decode_theta  # noqa: F401
 
 # structure-stack symbols
 A_LAM = "A"   # pending abstraction body
@@ -516,14 +517,13 @@ def mr_normalize(theta: str, fuel_iterations: int = DEFAULT_FUEL) -> MachineRRes
     spent, or an iteration would write a Current longer than TAPE_LIMIT
     symbols; a normal form left by the last iteration counts.
 
-    Input may use the unicode or the ASCII spelling; it is validated (arity
-    and index scoping) before the machine starts.
+    Input may use the unicode or the ASCII spelling; `check_theta` validates
+    it (arity, leading zeros in indices and index scoping) before the
+    machine starts, building no term.
     """
     if fuel_iterations <= 0:
         raise ValueError("fuel must be positive")
-    s = canonical_theta(theta)
-    decode_theta(s)  # reject malformed input up front
-    state = MachineRState(current=s)
+    state = MachineRState(current=check_theta(theta))
     for _ in range(fuel_iterations):
         tl_before = len(state.current)
         ops_before = state.op_count

@@ -22,6 +22,8 @@ LAM = "λ"
 APP = "@"
 MARK = "▶"
 _FOREIGN = re.compile(f"[^{LAM}{APP}{MARK}01]")
+# a run of λ and @, then a variable: ▶ and its binary index, if any
+_VAR = re.compile(f"([{LAM}{APP}]*){MARK}([01]*)")
 
 DEFAULT_FREE_NAME = "v"
 
@@ -69,68 +71,57 @@ def encode_theta(t: Term) -> str:
     return "".join(out)
 
 
-def decode_theta(s: str) -> Term:
-    """Inverse of encode_theta; every bare ▶ becomes FreeVar(DEFAULT_FREE_NAME).
-
-    Rejects arity violations, non-canonical index blocks and indices that
-    escape their binders.
+def check_theta(s: str) -> str:
+    """`canonical_theta(s)` when it spells one term, else MalformedThetaError
+    at the first fault from the left: an arity violation, a leading zero in
+    an index, or an index that escapes its binders.  Builds no term.
     """
     s = canonical_theta(s)
     n = len(s)
-    pos = 0
-    # frames: ['λ'] awaiting a body, or ['@', fun-or-None]
-    frames: list[list] = []
-    depth = 0
-    while True:
-        if pos >= n:
-            raise MalformedThetaError("unexpected end of string", n)
-        ch = s[pos]
-        if ch == APP:
-            frames.append([APP, None])
-            pos += 1
-            continue
-        if ch == LAM:
-            frames.append([LAM])
-            depth += 1
-            pos += 1
-            continue
-        if ch != MARK:
-            raise MalformedThetaError(f"unexpected symbol {ch!r}", pos)
-        start = pos
-        pos += 1
-        dstart = pos
-        while pos < n and s[pos] in "01":
-            pos += 1
-        digits = s[dstart:pos]
-        if digits == "":
-            term: Term = FreeVar(DEFAULT_FREE_NAME)
-        else:
-            if len(digits) > 1 and digits[0] == "0":
-                raise MalformedThetaError("leading zero in index", dstart)
-            index = int(digits, 2)
-            if index >= depth:
-                raise MalformedThetaError("index out of scope", start)
-            term = BoundVar(index)
-        # fold the completed subterm into the pending frames
-        while frames:
-            top = frames[-1]
-            if top[0] == LAM:
-                frames.pop()
-                depth -= 1
-                term = Abs(term)
-            elif top[1] is None:
-                top[1] = term
-                term = None  # type: ignore[assignment]
+    # λs awaiting a body and @s awaiting a function.  An @ leaves once its
+    # function is complete: its argument then completes whatever is below it.
+    pending: list[str] = []
+    depth = pos = 0
+    while m := _VAR.match(s, pos):
+        run, digits = m.groups()
+        pending.extend(run)
+        depth += run.count(LAM)
+        if len(digits) > 1 and digits[0] == "0":
+            raise MalformedThetaError("leading zero in index", m.start(2))
+        if digits and int(digits, 2) >= depth:
+            raise MalformedThetaError("index out of scope", m.start(2) - 1)
+        pos = m.end()
+        while pending:
+            if pending.pop() == APP:
                 break
-            else:
-                frames.pop()
-                term = App(top[1], term)
-        if term is not None:
+            depth -= 1
+        else:
             if pos != n:
                 raise MalformedThetaError("trailing symbols after a complete term", pos)
-            return term
+            return s
+    # a run of λ and @ meets a digit or the end of the string
+    pos = n - len(s[pos:].lstrip(LAM + APP))
+    if pos == n:
+        raise MalformedThetaError("unexpected end of string", n)
+    raise MalformedThetaError(f"unexpected symbol {s[pos]!r}", pos)
+
+
+def decode_theta(s: str) -> Term:
+    """Inverse of encode_theta; every bare ▶ becomes FreeVar(DEFAULT_FREE_NAME).
+
+    Checks `s` with check_theta, then builds right to left: a variable
+    pushes a leaf, a λ wraps the top term and an @ applies the top term to
+    the one below it.
+    """
+    terms: list[Term] = []
+    for run, digits in reversed(_VAR.findall(check_theta(s))):
+        terms.append(BoundVar(int(digits, 2)) if digits else FreeVar(DEFAULT_FREE_NAME))
+        for symbol in reversed(run):
+            terms.append(Abs(terms.pop()) if symbol == LAM else App(terms.pop(), terms.pop()))
+    return terms.pop()
 
 
 def true_length(t: Term) -> int:
-    """Length of the encoded string: size plus the bit length of every index."""
+    """Length of the encoded string: size plus the bit length of every index,
+    and one binary digit per index 0."""
     return len(encode_theta(t))

@@ -13,7 +13,9 @@ from cbvcost import (
 )
 from cbvcost.machine_r import A_LAM, F_APP, FOUND, NO_REDEX, S_APP, MachineRError
 from cbvcost.reduction import Zipper
-from cbvcost.theta import APP, LAM, MARK
+from cbvcost.theta import (
+    APP, DEFAULT_FREE_NAME, LAM, MARK, MalformedThetaError, canonical_theta,
+)
 
 Position = tuple[str, ...]
 
@@ -166,6 +168,73 @@ def enumerate_closed_terms(max_size: int) -> list[Term]:
     for s in range(1, max_size + 1):
         out.extend(terms_of(s, 0))
     return out
+
+
+# --- the string notation -----------------------------------------------------
+#
+# A left-to-right reader that validates and builds in one fold, symbol by
+# symbol: the oracle for `theta.check_theta` and `theta.decode_theta`.
+
+def ref_decode_theta(s: str) -> Term:
+    """Inverse of encode_theta; every bare ▶ becomes FreeVar(DEFAULT_FREE_NAME).
+
+    Rejects arity violations, non-canonical index blocks and indices that
+    escape their binders.
+    """
+    s = canonical_theta(s)
+    n = len(s)
+    pos = 0
+    # frames: ['λ'] awaiting a body, or ['@', fun-or-None]
+    frames: list[list] = []
+    depth = 0
+    while True:
+        if pos >= n:
+            raise MalformedThetaError("unexpected end of string", n)
+        ch = s[pos]
+        if ch == APP:
+            frames.append([APP, None])
+            pos += 1
+            continue
+        if ch == LAM:
+            frames.append([LAM])
+            depth += 1
+            pos += 1
+            continue
+        if ch != MARK:
+            raise MalformedThetaError(f"unexpected symbol {ch!r}", pos)
+        start = pos
+        pos += 1
+        dstart = pos
+        while pos < n and s[pos] in "01":
+            pos += 1
+        digits = s[dstart:pos]
+        if digits == "":
+            term: Term = FreeVar(DEFAULT_FREE_NAME)
+        else:
+            if len(digits) > 1 and digits[0] == "0":
+                raise MalformedThetaError("leading zero in index", dstart)
+            index = int(digits, 2)
+            if index >= depth:
+                raise MalformedThetaError("index out of scope", start)
+            term = BoundVar(index)
+        # fold the completed subterm into the pending frames
+        while frames:
+            top = frames[-1]
+            if top[0] == LAM:
+                frames.pop()
+                depth -= 1
+                term = Abs(term)
+            elif top[1] is None:
+                top[1] = term
+                term = None  # type: ignore[assignment]
+                break
+            else:
+                frames.pop()
+                term = App(top[1], term)
+        if term is not None:
+            if pos != n:
+                raise MalformedThetaError("trailing symbols after a complete term", pos)
+            return term
 
 
 # --- machine-r ----------------------------------------------------------------

@@ -110,6 +110,18 @@ def test_machine_r_theta_input(capsys):
     assert "output: L*0" in out and "iterations: 1" in out
 
 
+@pytest.mark.parametrize("text, is_term", [
+    ("L", True), ("L0", True), ("LL", True),
+    ("*", False), ("L*0", False), ("@**", False),
+])
+def test_machine_r_reads_string_notation_only_with_a_mark(text, is_term, capsys):
+    # every complete string has a ▶ (ASCII *); a name made of L, 0 and 1 is a term
+    assert main(["machine-r", text]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("output: *\n" if is_term else f"output: {text}\n")
+    assert ("engine cross-check: ok" in out) == is_term
+
+
 def test_machine_r_term_input_cross_checks(capsys, tmp_path):
     log = tmp_path / "iters.csv"
     assert main(["machine-r", r"(\x.\y.x y y)(\z.z)(\w.w)", "--out", str(log)]) == 0

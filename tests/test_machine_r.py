@@ -4,13 +4,13 @@ import tracemalloc
 import pytest
 
 from cbvcost import (
-    A_LAM, Abs, Alphabet, App, FreeVar, F_APP, FOUND, NO_REDEX,
+    A_LAM, Abs, Alphabet, App, BoundVar, FreeVar, F_APP, FOUND, NO_REDEX,
     MachineRError, MachineRState, MalformedThetaError,
     build_function, decode_theta, encode_string, encode_theta, even_palindrome_machine,
     find_redex_pass, flip_machine, mr_normalize, normalize, parse_term, random_closed_term,
     reassemble_pass, step_at, substitute_pass,
 )
-from cbvcost import bench, machine_r
+from cbvcost import bench, machine_r, theta
 
 import reference
 from reference import (
@@ -249,6 +249,21 @@ def test_mr_normalize_rejects_malformed_input():
         mr_normalize("@λ▶0")
     with pytest.raises(MalformedThetaError):
         mr_normalize("λµ0")
+
+
+def test_mr_normalize_builds_no_term(monkeypatch):
+    normal_form = encode_theta(normalize(RUNNING, "leftmost").term)
+
+    def refuse(*args):
+        raise AssertionError("mr_normalize built a term")
+
+    monkeypatch.setattr(machine_r, "decode_theta", refuse)
+    monkeypatch.setattr(theta, "decode_theta", refuse)
+    for node in (Abs, App, BoundVar, FreeVar):
+        monkeypatch.setattr(node, "__init__", refuse)
+    assert mr_normalize(RUNNING_THETA).theta == normal_form
+    with pytest.raises(MalformedThetaError, match=r"^unexpected end of string \(position 4\)$"):
+        mr_normalize("@λ▶0")
 
 
 def test_mr_normalize_accepts_ascii():

@@ -1,15 +1,41 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from cbvcost import (
     Abs, App, BoundVar, FreeVar, MalformedThetaError,
-    canonical_theta, decode_theta, encode_theta, parse_term,
-    theta_to_ascii, true_length,
+    canonical_theta, check_theta, decode_theta, encode_theta, mr_normalize, parse_term,
+    random_closed_term, theta_to_ascii, true_length,
 )
 
 from conftest import single_free_terms
+from reference import ref_decode_theta
+
+# the notation's symbols, their ASCII spellings and one foreign symbol
+MUTATION_SYMBOLS = "λ@▶01L*x"
+
+
+def rejection(read, s):
+    """(message, position) of the MalformedThetaError that read(s) raises,
+    or None when it accepts s."""
+    try:
+        read(s)
+    except MalformedThetaError as e:
+        return str(e), e.position
+    return None
+
+
+def single_symbol_mutations(s):
+    """Every string one deletion, insertion or substitution away from s."""
+    for i in range(len(s) + 1):
+        if i < len(s):
+            yield s[:i] + s[i + 1:]
+        for c in MUTATION_SYMBOLS:
+            yield s[:i] + c + s[i:]
+            if i < len(s):
+                yield s[:i] + c + s[i + 1:]
 
 
 def test_encode_running_example():
@@ -39,23 +65,19 @@ def test_decode_application():
 
 
 def test_decode_missing_argument():
-    with pytest.raises(MalformedThetaError):
-        decode_theta("@λ▶0")
+    assert rejection(decode_theta, "@λ▶0") == ("unexpected end of string (position 4)", 4)
 
 
 def test_decode_rejects_trailing_symbols():
-    with pytest.raises(MalformedThetaError):
-        decode_theta("λ▶0λ▶0")
+    assert rejection(decode_theta, "λ▶0λ▶0") == ("trailing symbols after a complete term (position 3)", 3)
 
 
 def test_decode_rejects_leading_zero_index():
-    with pytest.raises(MalformedThetaError):
-        decode_theta("λλ▶01")
+    assert rejection(decode_theta, "λλ▶01") == ("leading zero in index (position 3)", 3)
 
 
 def test_decode_rejects_out_of_scope_index():
-    with pytest.raises(MalformedThetaError):
-        decode_theta("λ▶1")
+    assert rejection(decode_theta, "λ▶1") == ("index out of scope (position 1)", 1)
 
 
 def test_decode_bare_marks_share_one_name():
@@ -74,6 +96,26 @@ def test_ascii_rejects_foreign_symbols():
                        match=r"^symbol 'x' is not in the alphabet \(position 1\)$") as e:
         canonical_theta("Lx0")
     assert e.value.position == 1
+
+
+def test_readers_match_the_reference_on_mutated_encodings():
+    rng = random.Random(28)
+    strings = set()
+    for _ in range(100):
+        s = encode_theta(random_closed_term(rng, 24))
+        strings.add(s)
+        strings.update(single_symbol_mutations(s))
+    accepted = 0
+    for s in sorted(strings):
+        expected = rejection(ref_decode_theta, s)
+        for read in (check_theta, decode_theta, lambda s: mr_normalize(s, 1)):
+            assert rejection(read, s) == expected, (read, s)
+        if expected is None:
+            accepted += 1
+            assert decode_theta(s) == ref_decode_theta(s)
+            assert check_theta(s) == canonical_theta(s)
+    # both sides of the language are exercised
+    assert 0 < accepted < len(strings)
 
 
 @settings(max_examples=300)
