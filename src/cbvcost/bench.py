@@ -156,11 +156,12 @@ def normalizes_within(t: Term, fuel: int, size_limit: int) -> bool:
     A term that pumps is the other.  `common` is the longest common
     prefix of the position codes fired since the checkpoint; every step
     since lay under it, so the old checkpoint is E[s] with s its subterm
-    at `common`, and s reduced to the new subterm there.  If that holds s again on its leftmost path
-    (into the function while it holds a redex, else into the argument),
-    it is C[s] with C's hole neither under a binder nor right of a redex,
-    and every term from s on holds a redex; so C[s] reduces to C[C[s]],
-    and so on without end.  `_pumps` checks this at each checkpoint.
+    at `common`, and s reduced to the new subterm there.  If the new
+    subterm holds s again on its leftmost path (into the function while
+    it holds a redex, else into the argument), it is C[s] with C's hole
+    neither under a binder nor right of a redex, and every term from s on
+    holds a redex; so C[s] reduces to C[C[s]], and so on without end.
+    `_pumps` checks this at each checkpoint.
     """
     z = Zipper(t)
     mark, mark_step = t, 1

@@ -40,8 +40,9 @@ the subterm completes.
 
 The structure stacks are persistent linked lists of runs of frames, so a
 push takes O(1), a pop O(1) amortized, and a checkpoint shares the stack
-instead of copying it.  A pass spells a stack out as a string only at
-its end, for StackTerm or StackRedex.
+instead of copying it.  The find pass spells its stack out for StackTerm
+at its end.  A substitution starts from the empty StackRedex that step 4
+leaves, with the Counter set to 0, and ends with both so again.
 
 A run has a tape budget: `mr_normalize` stops, with reason "tape_limit",
 before an iteration that would write a Current longer than `TAPE_LIMIT`
@@ -116,14 +117,11 @@ class _Scan(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """A substitution with the Argument left out: the Reduct is
-    `argument.join(segments)` and the charge `ops + 2 * |argument| *
-    occurrences`.  `stack` and `counter` are the tapes the pass leaves."""
+    """A substitution without its Argument: the Reduct is
+    `argument.join(segments)`, the charge `ops + 2 * |argument| * occurrences`."""
     segments: list[str]
     ops: int
     occurrences: int
-    stack: str
-    counter: str
 
 
 class _Index:
@@ -164,13 +162,13 @@ class _Index:
 
     def charge(self, entry: tuple, d: int) -> int | None:
         """The charge of substituting through the subterm of `entry` with
-        the Counter at `d`: its frames popped at its end, none below.  None
-        if the subterm is not closed."""
+        the Counter at `d`, from an empty stack: its frames popped at its
+        end.  None if the subterm is not closed."""
         charges = entry[2]
         if d not in charges:
             charges[d] = None  # counted now, and dropped with the entry
             self._make_room(1)
-            walked = _walk(entry[0], 0, d, None, self, None)
+            walked = _walk(entry[0], 0, d, self, None)
             charges[d] = None if walked is None else walked[0]
         return charges[d]
 
@@ -198,10 +196,10 @@ class MachineRState:
     counter: str = ""
     op_count: int = 0
     iterations: list[IterationStats] = field(default_factory=list)
-    # the last find pass's checkpoints, the substitution plans by StackRedex
-    # and Functional and their symbols, and the subterms copied so far
+    # the last find pass's checkpoints, the substitution plans by Functional
+    # and their symbols, and the subterms copied so far
     scan: _Scan | None = field(default=None, repr=False)
-    plans: dict[tuple[str, str], _Plan] = field(default_factory=dict, repr=False)
+    plans: dict[str, _Plan] = field(default_factory=dict, repr=False)
     plan_symbols: int = field(default=0, repr=False)
     index: _Index = field(default_factory=_Index, repr=False)
 
@@ -239,7 +237,7 @@ def _runs(k: int) -> re.Pattern:
     return re.compile(f"(?:[λ@]*▶[01]*){{{k}}}")
 
 
-def _copy(tape: str, start: int, index: _Index | None = None) -> tuple[int, int]:
+def _copy(tape: str, start: int, index: _Index) -> tuple[int, int]:
     """The end of the complete subterm of `tape` that starts at `start`,
     and the charge of copying it through StackRedex, empty before and
     after: a read and a write per symbol, per @ a push and a pop of F and
@@ -259,7 +257,7 @@ def _copy(tape: str, start: int, index: _Index | None = None) -> tuple[int, int]
             raise _copy_fault(tape, start)
         end = m.end()
         need = count(APP, pos, end)
-        if need and pos == start and index is not None:
+        if need and pos == start:
             entry = index.find(tape, start)
             if entry is not None:
                 return start + len(entry[0]), entry[1]
@@ -346,23 +344,22 @@ def find_redex_pass(state: MachineRState) -> str:
     return NO_REDEX
 
 
-def _make_plan(fn: str, tape: str, index: _Index) -> _Plan:
-    """The substitution of Functional `fn`, with StackRedex starting as
-    `tape`: read (and erase) the leading λ, set the Counter to 0, go on."""
-    stack = (tape, len(tape), 0, None) if tape else None
+def _make_plan(fn: str, index: _Index) -> _Plan:
+    """The substitution of Functional `fn`: read (and erase) the leading λ,
+    set the Counter to 0, go on."""
     segments: list[str] = []
-    ops, occurrences, d, stack, literal = _walk(fn, 1, 0, stack, index, segments)
+    ops, occurrences, literal = _walk(fn, 1, 0, index, segments)
     segments.append(fn[literal:])
-    return _Plan(segments, ops + 2, occurrences, _frames(stack), format(d, "b"))
+    return _Plan(segments, ops + 2, occurrences)
 
 
-def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
+def _walk(fn: str, at: int, d: int, index: _Index,
           segments: list[str] | None) -> tuple | None:
-    """Substitute from `fn[at]` on with the Counter at `d`.  Returns the
-    operations, occurrences, Counter, stack and the start of the literal
-    text after the last occurrence; `segments` gets the text before each.
-    With `segments` None, the walk charges the subterm `fn` on an empty
-    stack, or returns None if `fn` is not closed.
+    """Substitute from `fn[at]` on with the Counter at `d`, from and back
+    to an empty stack.  Returns the operations, occurrences and the start
+    of the literal text after the last occurrence; `segments` gets the
+    text before each.  With `segments` None, the walk charges the subterm
+    `fn`, or returns None if `fn` is not closed.
 
     Each round matches `_RUN` at `pos`: a run of λ and @, each read,
     written and pushed, and the ▶ after it with its digits, absent only
@@ -380,6 +377,7 @@ def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
     flips = 2 * d - d.bit_count()
     ops = occurrences = 0
     literal = pos = at
+    stack: Stack = None
     while True:
         m = _RUN.match(fn, pos)
         run, digits = m.groups()
@@ -410,7 +408,9 @@ def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
         elif digits is None:
             if m.end() < len(fn):
                 raise MachineRError(f"unexpected symbol {fn[m.end()]!r} on Functional")
-            return ops, occurrences, d, stack, literal
+            if stack is not None:
+                raise MachineRError("truncated subterm on Functional")
+            return ops, occurrences, literal
         else:
             width = d.bit_length() or 1
             ops += 2 + len(digits) + min(width, len(digits))  # reads; compare
@@ -425,8 +425,6 @@ def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
             pos = m.end()
         # closing abstraction bodies lowers the depth counter
         stack, closing, closed = _close(stack)
-        if closed > d:
-            raise MachineRError("depth counter underflow")
         ops += closing
         if closed:
             e = d - closed
@@ -437,21 +435,19 @@ def _walk(fn: str, at: int, d: int, stack: Stack, index: _Index,
 
 
 def _plan(state: MachineRState) -> _Plan:
-    """The plan of the state's StackRedex and Functional, memoized.  The
-    memo drops its oldest plans to keep at most TAPE_LIMIT symbols of keys,
-    but always keeps the newest."""
-    key = (state.stack_redex, state.functional)
+    """The plan of the state's Functional, memoized.  The memo drops its
+    oldest plans to hold at most TAPE_LIMIT symbols, but keeps the newest."""
+    fn = state.functional
     plans = state.plans
-    plan = plans.get(key)
+    plan = plans.get(fn)
     if plan is None:
-        plan = _make_plan(state.functional, state.stack_redex, state.index)
-        size = sum(map(len, key))
-        while plans and state.plan_symbols + size > TAPE_LIMIT:
+        plan = _make_plan(fn, state.index)
+        while plans and state.plan_symbols + len(fn) > TAPE_LIMIT:
             oldest = next(iter(plans))
             del plans[oldest]
-            state.plan_symbols -= sum(map(len, oldest))
-        plans[key] = plan
-        state.plan_symbols += size
+            state.plan_symbols -= len(oldest)
+        plans[fn] = plan
+        state.plan_symbols += len(fn)
     return plan
 
 
@@ -465,8 +461,11 @@ def substitute_pass(state: MachineRState) -> MachineRState:
     is a power of two; comparing with an index visits the shorter digit
     string and one more.
 
-    Raises TapeLimitReached, and writes nothing, when Preredex ++ Reduct ++
-    Postredex would be longer than TAPE_LIMIT."""
+    Writing nothing, it raises MachineRError on a StackRedex that is not
+    empty or a Functional that ends inside a subterm, and TapeLimitReached
+    when Preredex ++ Reduct ++ Postredex would be longer than TAPE_LIMIT."""
+    if state.stack_redex:
+        raise MachineRError("StackRedex is not empty")
     if not state.functional.startswith(LAM):
         raise MachineRError("Functional does not start with an abstraction")
     plan = _plan(state)
@@ -476,8 +475,7 @@ def substitute_pass(state: MachineRState) -> MachineRState:
     if length > TAPE_LIMIT:
         raise TapeLimitReached(f"Current would be {length} symbols long")
     state.reduct = arg.join(plan.segments)
-    state.stack_redex = plan.stack
-    state.counter = plan.counter
+    state.counter = "0"
     state.op_count += plan.ops + 2 * len(arg) * plan.occurrences
     return state
 

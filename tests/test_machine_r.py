@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -476,7 +477,7 @@ def test_one_functional_with_two_arguments(monkeypatch):
     planned = []
     make_plan = machine_r._make_plan
     monkeypatch.setattr(machine_r, "_make_plan",
-                        lambda fn, *rest: planned.append(fn) or make_plan(fn, *rest))
+                        lambda fn, index: planned.append(fn) or make_plan(fn, index))
     text = r"(\f.(\u.\v.v) (f (\a.a)) (f (\b.\c.b))) (\x.x)"
     theta = encode_theta(parse_term(text))
     seen = []
@@ -503,7 +504,7 @@ def test_more_functionals_than_the_plan_memo_holds(monkeypatch):
     monkeypatch.setattr(machine_r, "TAPE_LIMIT", limit)
     state = MachineRState(current=theta)
     run_in_lockstep(theta, 10_000, 10_000, state)
-    assert state.plan_symbols == sum(len(fn) + len(stack) for stack, fn in state.plans)
+    assert state.plan_symbols == sum(map(len, state.plans))
     assert state.plan_symbols <= machine_r.TAPE_LIMIT
     assert mr_normalize(theta) == free
 
@@ -517,7 +518,7 @@ def test_the_plan_memo_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
     for fn in ("λ▶0", "λλ▶1", "λλ▶0", "λ▶", "λλλ▶10▶0▶1", "λλλλλλλλ▶0▶0"):
         state.functional = fn
         machine_r._plan(state)
-        held.append(([fn for _, fn in state.plans], state.plan_symbols))
+        held.append((list(state.plans), state.plan_symbols))
     assert held == [
         (["λ▶0"], 3),
         (["λ▶0", "λλ▶1"], 7),
@@ -556,7 +557,7 @@ def test_copy_subterm_matches_the_reference_at_every_start():
             end = copy_subterm(state, start, state.functional)
             assert end == ref_copy_subterm(ref, start, ref.functional)
             assert tapes(state) == tapes(ref)
-            assert machine_r._copy(theta, start) == (end, state.op_count)
+            assert machine_r._copy(theta, start, machine_r._Index()) == (end, state.op_count)
 
 
 @pytest.mark.parametrize("current, message", [
@@ -574,22 +575,34 @@ def test_copy_subterm_errors(current, message):
 
 
 @pytest.mark.parametrize("functional, stack, message", [
-    # an abstraction frame the counter never counted: closing it underflows
+    # the references' fault: an abstraction frame the counter never counted
+    # underflows as it closes, and the machine takes no StackRedex but the
+    # empty one that step 4 leaves
     ("λ▶0", [A_LAM], "depth counter underflow"),
     ("λλ▶0", [F_APP, A_LAM, A_LAM], "depth counter underflow"),
     ("λ@x", [], "unexpected symbol 'x' on Functional"),
     ("@λ▶0", [], "does not start with an abstraction"),
+    # none: the references stop with an S frame left on StackRedex
+    ("λ@▶0", [], None),
 ])
 def test_substitute_pass_errors(functional, stack, message):
-    state = MachineRState(current="", functional=functional, argument="λ▶0",
-                          stack_redex="".join(stack))
-    with pytest.raises(MachineRError, match=message):
+    state = MachineRState(current="", functional="λ▶0", argument="λ▶0")
+    plans = {"λ▶0": machine_r._plan(state)}
+    state.functional, state.stack_redex = functional, "".join(stack)
+    before = tapes(state)
+    with pytest.raises(MachineRError, match="StackRedex is not empty" if stack
+                       else message or "truncated subterm on Functional"):
         substitute_pass(state)
+    # a rejected call writes nothing and memoizes no plan
+    assert tapes(state) == before and state.plans == plans
     for _, substitute, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL):
         state = ListState(current=[], functional=list(functional),
                           argument=list("λ▶0"), stack_redex=list(stack))
-        with pytest.raises(MachineRError, match=message):
-            substitute(state)
+        if message is None:
+            assert substitute(state).stack_redex
+        else:
+            with pytest.raises(MachineRError, match=message):
+                substitute(state)
 
 
 def _pass_outcome(run, state):
@@ -603,9 +616,13 @@ def _pass_outcome(run, state):
 
 def test_passes_on_arbitrary_tapes_agree_with_the_references():
     # strings over the alphabet and one foreign symbol, most of them no
-    # term: both passes leave the references' tapes or raise their fault
+    # term: the find pass leaves the references' tapes or raises their
+    # fault.  The substitute pass rejects every StackRedex that is not
+    # empty, finds Functional truncated exactly where the references leave
+    # frames on StackRedex, and otherwise does the same as they do
     rng = random.Random(13)
     symbols = "λλ@@▶▶01x"
+    kinds = []
     for _ in range(3000):
         current = "".join(rng.choice(symbols) for _ in range(rng.randrange(1, 16)))
         functional = "λ" + "".join(rng.choice(symbols) for _ in range(rng.randrange(13)))
@@ -613,12 +630,22 @@ def test_passes_on_arbitrary_tapes_agree_with_the_references():
         want = {_pass_outcome(find, ListState(current=list(current)))
                 for find, _, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL)}
         assert want == {_pass_outcome(find_redex_pass, MachineRState(current=current))}
-        want = {_pass_outcome(substitute, ListState(
-                    current=[], functional=list(functional), argument=list("λ▶0"),
-                    stack_redex=list(stack)))
-                for _, substitute, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL)}
-        assert want == {_pass_outcome(substitute_pass, MachineRState(
-            current="", functional=functional, argument="λ▶0", stack_redex=stack))}
+        (want,) = {_pass_outcome(substitute, ListState(
+                       current=[], functional=list(functional), argument=list("λ▶0"),
+                       stack_redex=list(stack)))
+                   for _, substitute, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL)}
+        got = _pass_outcome(substitute_pass, MachineRState(
+            current="", functional=functional, argument="λ▶0", stack_redex=stack))
+        if stack:
+            kinds.append("rejected")
+            assert got == "StackRedex is not empty"
+        elif isinstance(want, tuple) and want[7]:  # StackRedex
+            kinds.append("truncated")
+            assert got == "truncated subterm on Functional"
+        else:
+            kinds.append("agreed")
+            assert got == want
+    assert Counter(kinds) == {"rejected": 1476, "truncated": 190, "agreed": 1334}
 
 
 # --- the index of known subterms ---------------------------------------------
@@ -657,11 +684,10 @@ def _counting_steps(monkeypatch):
 def test_a_resumed_plan_equals_a_fresh_one(monkeypatch, iterations):
     # a run resumed after its first `iterations` iterations plans with the
     # subterms they copied.  Every Functional of the whole run, before that
-    # point or after, edited, cut or with a foreign tail, under three
-    # StackRedex: the plan built with that index, stepping over the
-    # subterms it knows, is the plan built without them, or has the same
-    # fault.  D = \x.\k.k x x hands two copies of a random abstraction to
-    # another one.
+    # point or after, edited, cut or with a foreign tail: the plan built
+    # with that index, stepping over the subterms it knows, is the plan
+    # built without them, or has the same fault.  D = \x.\k.k x x hands
+    # two copies of a random abstraction to another one.
     steps = _counting_steps(monkeypatch)
     rng = random.Random(21)
     d = parse_term(r"\x.\k.k x x")
@@ -676,12 +702,11 @@ def test_a_resumed_plan_equals_a_fresh_one(monkeypatch, iterations):
                         fn + rng.choice(("x", "▶0", "λ▶", "0"))):
                 if not new.startswith("λ"):
                     continue  # substitute_pass plans no other Functional
-                for stack in ("", "F", "AF"):
-                    assert _plan_outcome(lambda: machine_r._make_plan(new, stack, state.index)) \
-                        == _plan_outcome(lambda: machine_r._make_plan(new, stack, machine_r._Index()))
-                    planned += 1
-    assert planned > 10_000
-    assert sum(charge is not None for charge in steps) > 1_000
+                assert _plan_outcome(lambda: machine_r._make_plan(new, state.index)) \
+                    == _plan_outcome(lambda: machine_r._make_plan(new, machine_r._Index()))
+                planned += 1
+    assert planned > 5_000
+    assert sum(charge is not None for charge in steps) > 800
 
 
 def test_plans_with_the_run_index_equal_fresh_ones_on_compiled_flip(monkeypatch):
@@ -690,27 +715,27 @@ def test_plans_with_the_run_index_equal_fresh_ones_on_compiled_flip(monkeypatch)
     # there are plans
     built = []
     make_plan = machine_r._make_plan
-    monkeypatch.setattr(machine_r, "_make_plan", lambda fn, stack, index: built.append(
-        (fn, stack, make_plan(fn, stack, index))) or built[-1][2])
+    monkeypatch.setattr(machine_r, "_make_plan", lambda fn, index: built.append(
+        (fn, make_plan(fn, index))) or built[-1][1])
     steps = _counting_steps(monkeypatch)
     io = Alphabet("01")
     program = build_function(flip_machine(), io)
     result = mr_normalize(encode_theta(App(program, encode_string(io, "0110"))))
     assert (result.op_count, len(result.iterations)) == (5_734_832, 395)
-    for fn, stack, plan in built:
-        assert plan == make_plan(fn, stack, machine_r._Index())
+    for fn, plan in built:
+        assert plan == make_plan(fn, machine_r._Index())
     assert len(built) > 150 and sum(charge is not None for charge in steps) > len(built)
 
 
 def _complete_end(tape, start):
     try:
-        return machine_r._copy(tape, start)[0]
+        return machine_r._copy(tape, start, machine_r._Index())[0]
     except MachineRError:
         return None
 
 
 def _record(index, subterm):
-    index.add(subterm, machine_r._copy(subterm, 0)[1])
+    index.add(subterm, machine_r._copy(subterm, 0, machine_r._Index())[1])
 
 
 def test_the_index_finds_only_the_complete_subterm_at_a_start():
@@ -752,8 +777,8 @@ def test_a_subterm_that_is_not_closed_is_never_stepped_over():
     entry = index.find(open_term, 0)
     assert [index.charge(entry, d) for d in range(4)] == [None] * 4
     fn = "λ@" + open_term + "▶0"
-    plan = machine_r._make_plan(fn, "", index)
-    assert plan == machine_r._make_plan(fn, "", machine_r._Index())
+    plan = machine_r._make_plan(fn, index)
+    assert plan == machine_r._make_plan(fn, machine_r._Index())
     assert plan.occurrences == 2
     run_in_lockstep("@" + fn + "λ▶0", 5, 100)
 
@@ -768,12 +793,12 @@ def test_a_known_subterm_is_stepped_over_at_the_start_of_the_first_run(monkeypat
     key = "λ@▶0▶0"
     _record(index, key)
     fn = "λ" + key
-    plan = machine_r._make_plan(fn, "", index)
+    plan = machine_r._make_plan(fn, index)
     assert [charge is not None for charge in steps] == [False, True]
-    assert plan == machine_r._make_plan(fn, "", machine_r._Index())
+    assert plan == machine_r._make_plan(fn, machine_r._Index())
     entry = index.find(key, 0)
     for d in range(5):
-        assert index.charge(entry, d) == machine_r._walk(key, 0, d, None, machine_r._Index(), None)[0]
+        assert index.charge(entry, d) == machine_r._walk(key, 0, d, machine_r._Index(), None)[0]
 
 
 def test_the_index_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
