@@ -24,19 +24,23 @@ A pass charges each copied subterm and the binary Counter's arithmetic in
 closed form.  The find pass steps over one structural token at a time
 (an @, a ▶ with its digits, or a whole abstraction) and resumes where the
 last iteration changed Current.  The substitute pass replays a plan
-memoized per Functional string.  Each count equals the symbol-by-symbol
+memoized per Functional string: the offsets of the literal text between
+the occurrences, and the charge.  Each count equals the symbol-by-symbol
 one; `tests/reference.py` keeps both the symbol-by-symbol machine and the
 closed-form passes on list tapes that this module replaced, and the tests
 run all three in lockstep.  One regex reads a ▶ and its digits for the
 find pass, and each run of λ and @ with the ▶ after it for a plan.
 
-A run keeps one index of the Arguments with an @ it has copied, the
-values substitution copies into Reducts.  The find pass takes a known
-subterm's end and charge from it.  A plan steps over a known closed
-subterm at the start of a run or after an @ in one move: it holds no
-occurrence, so it adds only its charge, memoized in the subterm's entry
-next to its copy charge, per Counter value, and then closes the frames
-the subterm completes.
+The plans and one index of the Arguments with an @ that runs have
+copied, the values substitution copies into Reducts, belong to the
+process: every run and every pass shares them.  Plans and charges are
+functions of their strings, so no count depends on what earlier runs
+left there.  Nothing in cbvcost runs machine-r from two threads.  The
+find pass takes a known subterm's end and charge from the index.  A plan
+steps over a known closed subterm at the start of a run or after an @ in
+one move: it holds no occurrence, so it adds only its charge, memoized
+in the subterm's entry next to its copy charge, per Counter value, and
+then closes the frames the subterm completes.
 
 The structure stacks are persistent linked lists of runs of frames, so a
 push takes O(1), a pop O(1) amortized, and a checkpoint shares the stack
@@ -46,11 +50,12 @@ leaves, with the Counter set to 0, and ends with both so again.
 
 A run has a tape budget: `mr_normalize` stops, with reason "tape_limit",
 before an iteration that would write a Current longer than `TAPE_LIMIT`
-symbols.  Every other tape is a piece of Current or of the next one, the
-find pass keeps O(1) per top-level token of Current, the plan memo holds
-plans of at most `TAPE_LIMIT` symbols of keys in all, and the index at
-most `TAPE_LIMIT` symbols, one per memoized charge included.  So a run
-holds memory linear in the longer of its input and the budget.
+symbols.  Every other tape is a piece of Current or of the next one, and
+the find pass keeps O(1) per top-level token of Current, so a run's own
+tapes hold memory linear in the longer of its input and the budget.  The
+shared memo holds plans of at most `TAPE_LIMIT` symbols of keys in all,
+each a few offsets besides its key, and an index of at most `TAPE_LIMIT`
+symbols, one per memoized charge included.
 """
 
 from __future__ import annotations
@@ -117,20 +122,23 @@ class _Scan(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """A substitution without its Argument: the Reduct is
-    `argument.join(segments)`, the charge `ops + 2 * |argument| * occurrences`."""
-    segments: list[str]
+    """A substitution of Functional `fn` without its Argument: `cuts` holds
+    the start and end in `fn` of each literal span around the occurrences,
+    and `literal` their total length.  The Reduct is those spans joined by
+    the Argument; the charge is `ops + 2 * |argument| * occurrences`."""
+    cuts: tuple[int, ...]
+    literal: int
     ops: int
     occurrences: int
 
 
 class _Index:
-    """The Arguments with an @ that a run has copied, sorted in `keys`.
+    """The Arguments with an @ that runs have copied, sorted in `keys`.
     `entries` gives each, oldest first, the subterm, the charge of copying
     it and, by Counter value, the charge of stepping over it in a plan.
-    Like the plan memo, it drops its oldest subterms to hold at most
-    TAPE_LIMIT symbols, one per charge of a step included, but always
-    keeps the newest."""
+    It drops its oldest subterms to hold at most TAPE_LIMIT symbols, one
+    per charge of a step included, but always keeps the newest.
+    `longest` is the length of the longest key held."""
 
     __slots__ = ("keys", "entries", "symbols", "longest")
 
@@ -168,23 +176,40 @@ class _Index:
         if d not in charges:
             charges[d] = None  # counted now, and dropped with the entry
             self._make_room(1)
-            walked = _walk(entry[0], 0, d, self, None)
-            charges[d] = None if walked is None else walked[0]
+            charges[d] = _walk(entry[0], 0, d, self, None)
         return charges[d]
 
     def _make_room(self, size: int) -> None:
         """Count `size` more symbols, first dropping the oldest subterms
         while more than TAPE_LIMIT would be held."""
         entries = self.entries
+        dropped = 0
         while entries and self.symbols + size > TAPE_LIMIT:
             key, _, charges = entries.pop(next(iter(entries)))
             self.symbols -= len(key) + len(charges)
             del self.keys[bisect_left(self.keys, key)]
+            dropped = max(dropped, len(key))
+        if dropped == self.longest:
+            self.longest = max(map(len, self.keys), default=0)
         self.symbols += size
 
 
 @dataclass
+class _Memo:
+    """What every run shares: the plans by Functional, oldest used first,
+    the symbols of their keys, and the index."""
+    plans: dict[str, _Plan] = field(default_factory=dict)
+    plan_symbols: int = 0
+    index: _Index = field(default_factory=_Index)
+
+
+_MEMO = _Memo()
+
+
+@dataclass
 class MachineRState:
+    """One run: the nine tapes, the operations and iterations so far, and
+    the last find pass's checkpoints.  The plans and the index are _MEMO's."""
     current: str
     preredex: str = ""
     functional: str = ""
@@ -196,12 +221,7 @@ class MachineRState:
     counter: str = ""
     op_count: int = 0
     iterations: list[IterationStats] = field(default_factory=list)
-    # the last find pass's checkpoints, the substitution plans by Functional
-    # and their symbols, and the subterms copied so far
     scan: _Scan | None = field(default=None, repr=False)
-    plans: dict[str, _Plan] = field(default_factory=dict, repr=False)
-    plan_symbols: int = field(default=0, repr=False)
-    index: _Index = field(default_factory=_Index, repr=False)
 
 
 def _close(stack: Stack) -> tuple[Stack, int, int]:
@@ -291,7 +311,7 @@ def find_redex_pass(state: MachineRState) -> str:
     """
     cur = state.current
     n = len(cur)
-    index = state.index
+    index = _MEMO.index
     pos, ops, stack = 0, 0, None
     checkpoints: list[tuple[int, int, Stack]] = []
     last, state.scan = state.scan, None
@@ -347,19 +367,18 @@ def find_redex_pass(state: MachineRState) -> str:
 def _make_plan(fn: str, index: _Index) -> _Plan:
     """The substitution of Functional `fn`: read (and erase) the leading λ,
     set the Counter to 0, go on."""
-    segments: list[str] = []
-    ops, occurrences, literal = _walk(fn, 1, 0, index, segments)
-    segments.append(fn[literal:])
-    return _Plan(segments, ops + 2, occurrences)
+    cuts = [1]
+    ops = _walk(fn, 1, 0, index, cuts)
+    cuts.append(len(fn))
+    return _Plan(tuple(cuts), sum(cuts[1::2]) - sum(cuts[::2]), ops + 2, len(cuts) // 2 - 1)
 
 
 def _walk(fn: str, at: int, d: int, index: _Index,
-          segments: list[str] | None) -> tuple | None:
+          cuts: list[int] | None) -> int | None:
     """Substitute from `fn[at]` on with the Counter at `d`, from and back
-    to an empty stack.  Returns the operations, occurrences and the start
-    of the literal text after the last occurrence; `segments` gets the
-    text before each.  With `segments` None, the walk charges the subterm
-    `fn`, or returns None if `fn` is not closed.
+    to an empty stack, and return the operations; `cuts` gets the start
+    and end of each occurrence.  With `cuts` None, the walk charges the
+    subterm `fn`, or returns None if `fn` is not closed.
 
     Each round matches `_RUN` at `pos`: a run of λ and @, each read,
     written and pushed, and the ▶ after it with its digits, absent only
@@ -375,8 +394,8 @@ def _walk(fn: str, at: int, d: int, index: _Index,
     power of two from 2 up."""
     base = d
     flips = 2 * d - d.bit_count()
-    ops = occurrences = 0
-    literal = pos = at
+    ops = 0
+    pos = at
     stack: Stack = None
     while True:
         m = _RUN.match(fn, pos)
@@ -410,15 +429,13 @@ def _walk(fn: str, at: int, d: int, index: _Index,
                 raise MachineRError(f"unexpected symbol {fn[m.end()]!r} on Functional")
             if stack is not None:
                 raise MachineRError("truncated subterm on Functional")
-            return ops, occurrences, literal
+            return ops
         else:
             width = d.bit_length() or 1
             ops += 2 + len(digits) + min(width, len(digits))  # reads; compare
-            if segments is not None and digits == format(d, "b"):
-                segments.append(fn[literal:pos + len(run)])
-                literal = m.end()
-                occurrences += 1
-            elif segments is None and digits and int(digits, 2) >= d - base:
+            if cuts is not None and digits == format(d, "b"):
+                cuts += (pos + len(run), m.end())
+            elif cuts is None and digits and int(digits, 2) >= d - base:
                 return None  # an index bound outside fn
             else:
                 ops += 1 + len(digits)  # write
@@ -434,20 +451,20 @@ def _walk(fn: str, at: int, d: int, index: _Index,
             d, flips = e, down
 
 
-def _plan(state: MachineRState) -> _Plan:
-    """The plan of the state's Functional, memoized.  The memo drops its
-    oldest plans to hold at most TAPE_LIMIT symbols, but keeps the newest."""
-    fn = state.functional
-    plans = state.plans
-    plan = plans.get(fn)
+def _plan(fn: str) -> _Plan:
+    """The plan of Functional `fn`, memoized for the process.  A plan used
+    becomes the newest; the memo drops the plans used longest ago to hold
+    at most TAPE_LIMIT symbols of keys, but keeps the newest."""
+    memo, plans = _MEMO, _MEMO.plans
+    plan = plans.pop(fn, None)
     if plan is None:
-        plan = _make_plan(fn, state.index)
-        while plans and state.plan_symbols + len(fn) > TAPE_LIMIT:
+        plan = _make_plan(fn, memo.index)
+        while plans and memo.plan_symbols + len(fn) > TAPE_LIMIT:
             oldest = next(iter(plans))
             del plans[oldest]
-            state.plan_symbols -= len(oldest)
-        plans[fn] = plan
-        state.plan_symbols += len(fn)
+            memo.plan_symbols -= len(oldest)
+        memo.plan_symbols += len(fn)
+    plans[fn] = plan
     return plan
 
 
@@ -468,13 +485,14 @@ def substitute_pass(state: MachineRState) -> MachineRState:
         raise MachineRError("StackRedex is not empty")
     if not state.functional.startswith(LAM):
         raise MachineRError("Functional does not start with an abstraction")
-    plan = _plan(state)
-    arg = state.argument
-    length = (sum(map(len, plan.segments)) + plan.occurrences * len(arg)
+    fn, arg = state.functional, state.argument
+    plan = _plan(fn)
+    length = (plan.literal + plan.occurrences * len(arg)
               + len(state.preredex) - 1 + len(state.postredex))
     if length > TAPE_LIMIT:
         raise TapeLimitReached(f"Current would be {length} symbols long")
-    state.reduct = arg.join(plan.segments)
+    spans = iter(plan.cuts)
+    state.reduct = arg.join([fn[a:b] for a, b in zip(spans, spans)])
     state.counter = "0"
     state.op_count += plan.ops + 2 * len(arg) * plan.occurrences
     return state

@@ -23,6 +23,13 @@ RUNNING = parse_term(r"(\x.\y.x y y)(\z.z)(\w.w)")
 RUNNING_THETA = "@@λλ@@▶1▶0▶0λ▶0λ▶0"
 
 
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts from an empty plan memo and index, as a new
+    process does."""
+    machine_r._MEMO.__init__()
+
+
 def d_depth(k: int) -> str:
     """D = \\x.\\k.k x x nested k deep around \\z.z: the normal form doubles
     with every level."""
@@ -363,11 +370,11 @@ def tapes(state):
 MACHINE = (find_redex_pass, substitute_pass, reassemble_pass)
 
 
-def run_in_lockstep(theta, iterations, max_length, state=None):
+def run_in_lockstep(theta, iterations, max_length):
     """Run the machine and both references side by side on one string; the
     tapes and op_count must agree after every pass.  Returns the most
     abstractions a Functional held below its erased binder."""
-    runs = [(state or MachineRState(current=theta), MACHINE),
+    runs = [(MachineRState(current=theta), MACHINE),
             (ListState(current=list(theta)), CLOSED_FORM),
             (ListState(current=list(theta)), SYMBOL_BY_SYMBOL)]
     machine = runs[0][0]
@@ -489,7 +496,10 @@ def test_one_functional_with_two_arguments(monkeypatch):
     assert ("λ▶0", "λ▶0") in seen and ("λ▶0", "λλ▶1") in seen
     assert planned.count("λ▶0") == 1
     assert state.current == encode_theta(normalize(parse_term(text), "leftmost").term)
+    # a second run replays the first run's plans and builds none
+    built = len(planned)
     run_in_lockstep(theta, 10, 100)
+    assert len(planned) == built
 
 
 def test_more_functionals_than_the_plan_memo_holds(monkeypatch):
@@ -500,25 +510,26 @@ def test_more_functionals_than_the_plan_memo_holds(monkeypatch):
     theta = encode_theta(App(build_function(flip_machine(), io), encode_string(io, "1")))
     free = mr_normalize(theta)
     limit = max(it.tl_after for it in free.iterations)
-    assert _functionals(theta, 10_000)[1].plan_symbols > 3 * limit
+    memo = machine_r._MEMO
+    _functionals(theta, 10_000)
+    assert memo.plan_symbols > 3 * limit
+    memo.__init__()
     monkeypatch.setattr(machine_r, "TAPE_LIMIT", limit)
-    state = MachineRState(current=theta)
-    run_in_lockstep(theta, 10_000, 10_000, state)
-    assert state.plan_symbols == sum(map(len, state.plans))
-    assert state.plan_symbols <= machine_r.TAPE_LIMIT
+    run_in_lockstep(theta, 10_000, 10_000)
+    assert memo.plan_symbols == sum(map(len, memo.plans))
+    assert memo.plan_symbols <= machine_r.TAPE_LIMIT
     assert mr_normalize(theta) == free
 
 
 def test_the_plan_memo_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
-    # the oldest plans go until the keys fit, exactly filling the budget
-    # if need be; the newest always stays
+    # the plans used longest ago go until the keys fit, exactly filling
+    # the budget if need be; the newest always stays
     monkeypatch.setattr(machine_r, "TAPE_LIMIT", 10)
-    state = MachineRState(current="")
+    memo = machine_r._MEMO
     held = []
     for fn in ("λ▶0", "λλ▶1", "λλ▶0", "λ▶", "λλλ▶10▶0▶1", "λλλλλλλλ▶0▶0"):
-        state.functional = fn
-        machine_r._plan(state)
-        held.append((list(state.plans), state.plan_symbols))
+        machine_r._plan(fn)
+        held.append((list(memo.plans), memo.plan_symbols))
     assert held == [
         (["λ▶0"], 3),
         (["λ▶0", "λλ▶1"], 7),
@@ -526,6 +537,21 @@ def test_the_plan_memo_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
         (["λλ▶1", "λλ▶0", "λ▶"], 10),
         (["λλλ▶10▶0▶1"], 10),
         (["λλλλλλλλ▶0▶0"], 12),
+    ]
+    # a plan used again becomes the newest, so the one used longest ago goes
+    memo.__init__()
+    held = []
+    for fn in ("λ▶0", "λλ▶1", "λ▶0", "λλ▶0", "λ▶0", "λ▶"):
+        plan = machine_r._plan(fn)
+        assert plan == machine_r._make_plan(fn, machine_r._Index())
+        held.append((list(memo.plans), memo.plan_symbols))
+    assert held == [
+        (["λ▶0"], 3),
+        (["λ▶0", "λλ▶1"], 7),
+        (["λλ▶1", "λ▶0"], 7),
+        (["λ▶0", "λλ▶0"], 7),
+        (["λλ▶0", "λ▶0"], 7),
+        (["λλ▶0", "λ▶0", "λ▶"], 9),
     ]
 
 
@@ -586,15 +612,16 @@ def test_copy_subterm_errors(current, message):
     ("λ@▶0", [], None),
 ])
 def test_substitute_pass_errors(functional, stack, message):
-    state = MachineRState(current="", functional="λ▶0", argument="λ▶0")
-    plans = {"λ▶0": machine_r._plan(state)}
-    state.functional, state.stack_redex = functional, "".join(stack)
-    before = tapes(state)
+    memo = machine_r._MEMO
+    machine_r._plan("λ▶0")
+    state = MachineRState(current="", functional=functional, argument="λ▶0",
+                          stack_redex="".join(stack))
+    before = tapes(state), dict(memo.plans), memo.plan_symbols, list(memo.index.entries)
     with pytest.raises(MachineRError, match="StackRedex is not empty" if stack
                        else message or "truncated subterm on Functional"):
         substitute_pass(state)
-    # a rejected call writes nothing and memoizes no plan
-    assert tapes(state) == before and state.plans == plans
+    # a rejected call writes nothing and adds nothing to the memo
+    assert (tapes(state), memo.plans, memo.plan_symbols, list(memo.index.entries)) == before
     for _, substitute, _ in (CLOSED_FORM, SYMBOL_BY_SYMBOL):
         state = ListState(current=[], functional=list(functional),
                           argument=list("λ▶0"), stack_redex=list(stack))
@@ -652,8 +679,9 @@ def test_passes_on_arbitrary_tapes_agree_with_the_references():
 
 def _functionals(theta, iterations):
     """The Functionals the machine reads in its first iterations on
-    `theta`, and the state it leaves, whose index holds the subterms the
-    run copied."""
+    `theta`, from an empty memo: after them the memo holds the plans of
+    those iterations and the subterms they copied."""
+    machine_r._MEMO.__init__()
     seen = []
     state = MachineRState(current=theta)
     while (len(seen) < iterations and len(state.current) < 5_000
@@ -661,7 +689,7 @@ def _functionals(theta, iterations):
         seen.append(state.functional)
         substitute_pass(state)
         reassemble_pass(state)
-    return seen, state
+    return seen
 
 
 def _plan_outcome(build):
@@ -695,14 +723,15 @@ def test_a_resumed_plan_equals_a_fresh_one(monkeypatch, iterations):
     for _ in range(150):
         value = Abs(random_closed_term(rng, 30))
         theta = encode_theta(App(App(d, value), random_closed_term(rng, 30)))
-        functionals, _ = _functionals(theta, 30)
-        _, state = _functionals(theta, iterations)
+        functionals = _functionals(theta, 30)
+        _functionals(theta, iterations)
+        index = machine_r._MEMO.index
         for fn in functionals:
             for new in (fn, _splice(rng, fn), fn[:rng.randrange(1, len(fn) + 1)],
                         fn + rng.choice(("x", "▶0", "λ▶", "0"))):
                 if not new.startswith("λ"):
                     continue  # substitute_pass plans no other Functional
-                assert _plan_outcome(lambda: machine_r._make_plan(new, state.index)) \
+                assert _plan_outcome(lambda: machine_r._make_plan(new, index)) \
                     == _plan_outcome(lambda: machine_r._make_plan(new, machine_r._Index()))
                 planned += 1
     assert planned > 5_000
@@ -712,7 +741,8 @@ def test_a_resumed_plan_equals_a_fresh_one(monkeypatch, iterations):
 def test_plans_with_the_run_index_equal_fresh_ones_on_compiled_flip(monkeypatch):
     # every plan compiled FLIP on 4 bits builds equals the plan built with
     # an empty index, and the plans step over more known subterms than
-    # there are plans
+    # there are plans; so do the plans a second input adds, built with
+    # the index the first one left
     built = []
     make_plan = machine_r._make_plan
     monkeypatch.setattr(machine_r, "_make_plan", lambda fn, index: built.append(
@@ -722,9 +752,11 @@ def test_plans_with_the_run_index_equal_fresh_ones_on_compiled_flip(monkeypatch)
     program = build_function(flip_machine(), io)
     result = mr_normalize(encode_theta(App(program, encode_string(io, "0110"))))
     assert (result.op_count, len(result.iterations)) == (5_734_832, 395)
+    first = len(built)
+    mr_normalize(encode_theta(App(program, encode_string(io, "1011"))))
     for fn, plan in built:
         assert plan == make_plan(fn, machine_r._Index())
-    assert len(built) > 150 and sum(charge is not None for charge in steps) > len(built)
+    assert first > 150 and sum(charge is not None for charge in steps) > len(built) > first
 
 
 def _complete_end(tape, start):
@@ -798,7 +830,7 @@ def test_a_known_subterm_is_stepped_over_at_the_start_of_the_first_run(monkeypat
     assert plan == machine_r._make_plan(fn, machine_r._Index())
     entry = index.find(key, 0)
     for d in range(5):
-        assert index.charge(entry, d) == machine_r._walk(key, 0, d, machine_r._Index(), None)[0]
+        assert index.charge(entry, d) == machine_r._walk(key, 0, d, machine_r._Index(), None)
 
 
 def test_the_index_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
@@ -827,7 +859,11 @@ def test_the_index_holds_at_most_the_tape_limit_in_symbols(monkeypatch):
         ([d], 10),
         ([e], 18),
     ]
-    assert index.keys == [e]
+    assert index.keys == [e] and index.longest == len(e)
+    # once the long key is dropped for a short one, lookups read only as
+    # much of the tape as the longest key held
+    _record(index, a)
+    assert index.keys == [a] and index.longest == len(a)
 
 
 def test_more_subterms_than_the_index_holds(monkeypatch):
@@ -838,14 +874,17 @@ def test_more_subterms_than_the_index_holds(monkeypatch):
     theta = encode_theta(App(build_function(flip_machine(), io), encode_string(io, "1")))
     free = mr_normalize(theta)
     limit = max(it.tl_after for it in free.iterations)
-    assert _functionals(theta, 10_000)[1].index.symbols > 3 * limit
+    _functionals(theta, 10_000)
+    assert machine_r._MEMO.index.symbols > 3 * limit
+    machine_r._MEMO.__init__()
     monkeypatch.setattr(machine_r, "TAPE_LIMIT", limit)
-    state = MachineRState(current=theta)
-    run_in_lockstep(theta, 10_000, 10_000, state)
-    entries = state.index.entries.values()
-    assert state.index.symbols == sum(len(key) + len(charges) for key, _, charges in entries)
-    assert state.index.symbols <= machine_r.TAPE_LIMIT
-    assert sorted(state.index.keys) == state.index.keys == sorted(key for key, *_ in entries)
+    run_in_lockstep(theta, 10_000, 10_000)
+    index = machine_r._MEMO.index
+    entries = index.entries.values()
+    assert index.symbols == sum(len(key) + len(charges) for key, _, charges in entries)
+    assert index.symbols <= machine_r.TAPE_LIMIT
+    assert sorted(index.keys) == index.keys == sorted(key for key, *_ in entries)
+    assert index.longest == max(map(len, index.keys), default=0)
     assert mr_normalize(theta) == free
 
 
@@ -863,13 +902,64 @@ def test_the_index_holds_few_bytes_per_symbol():
             substitute_pass(state)
             reassemble_pass(state)
         held = tracemalloc.get_traced_memory()[0]
-        symbols = state.index.symbols
-        state.index = None
+        symbols = machine_r._MEMO.index.symbols
+        machine_r._MEMO.index = machine_r._Index()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert symbols > 100_000
     assert freed < 4 * symbols
+
+
+# --- the memo every run shares -----------------------------------------------
+
+def _flip_inputs(bits):
+    io = Alphabet("01")
+    program = build_function(flip_machine(), io)
+    return [encode_theta(App(program, encode_string(io, b))) for b in bits]
+
+
+def test_no_count_depends_on_what_the_memo_holds():
+    # each run returns the same string, op count and iterations from an
+    # empty memo, after the inputs before it, and after the inputs after it
+    corpora = [bench.make_normalizing_corpus(2, 120, 12),
+               bench.make_normalizing_corpus(3, 60, 24, 13)]
+    for thetas in [_flip_inputs(("01101001", "11110000", "00110101"))] + [
+            [encode_theta(t) for t in corpus] for corpus in corpora]:
+        alone = []
+        for theta in thetas:
+            machine_r._MEMO.__init__()
+            alone.append(mr_normalize(theta))
+        machine_r._MEMO.__init__()
+        assert [mr_normalize(theta) for theta in thetas] == alone
+        machine_r._MEMO.__init__()
+        assert [mr_normalize(theta) for theta in reversed(thetas)] == alone[::-1]
+
+
+def test_a_warmed_memo_keeps_the_machine_in_lockstep_with_the_references():
+    warm, theta = _flip_inputs(("10", "01"))
+    mr_normalize(warm)
+    assert machine_r._MEMO.plans and machine_r._MEMO.index.keys
+    run_in_lockstep(theta, 10_000, 10_000)
+
+
+def test_a_plan_holds_no_copy_of_its_functional():
+    # the plans of compiled FLIP on 8 bits keep offsets into their keys:
+    # dropping them, keys kept, frees less than a byte per key symbol,
+    # where copies of the literal text took about two
+    tracemalloc.start()
+    try:
+        mr_normalize(_flip_inputs(("01101001",))[0])
+        plans = machine_r._MEMO.plans
+        held = tracemalloc.get_traced_memory()[0]
+        for fn in plans:
+            plans[fn] = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    symbols = machine_r._MEMO.plan_symbols
+    assert symbols == sum(map(len, plans)) > 100_000
+    assert freed < symbols
 
 
 def test_compiled_flip_on_16_bits_keeps_its_counts():
